@@ -90,12 +90,12 @@ struct CompactScratch {
   static constexpr std::size_t kShrinkFloor = std::size_t{1} << 14;
 };
 
-/// In-region compact-graph (Bor-EL §2.1; also MST-BC's between-rounds
-/// contraction): relabel endpoints through `labels`, drop self-loops, sort
-/// so multi-edges between the same supervertex pair become consecutive, and
-/// keep only the lightest arc of every ⟨u, v⟩ group.  Replaces `arcs` in
-/// place.  All team threads call it inside an open SPMD region with
-/// identical arguments; the final barrier publishes the result.
+/// In-region compact-graph (Bor-EL §2.1): relabel endpoints through
+/// `labels`, drop self-loops, sort so multi-edges between the same
+/// supervertex pair become consecutive, and keep only the lightest arc of
+/// every ⟨u, v⟩ group.  Replaces `arcs` in place.  All team threads call it
+/// inside an open SPMD region with identical arguments; the final barrier
+/// publishes the result.
 ///
 /// Sort dispatch (CompactSortMode::kAuto): ⟨u, v⟩ packs into one uint64_t
 /// whenever VertexId fits 32 bits, so the compact sort runs as a packed-key

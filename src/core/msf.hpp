@@ -32,8 +32,8 @@ enum class Algorithm {
   kFilterKruskal,  ///< cycle-property filtering (§3's hinted approach)
   kSampleFilter,   ///< Cole–Klein–Tarjan random sampling + filtering
   kBorUF,          ///< Borůvka over a lock-free union-find (GBBS/Galois style)
-  kChampion,       ///< auto-tuned pipeline: deferred compaction + per-iteration
-                   ///< strategy choice (defer / hash dedup / sort compact)
+  kChampion,       ///< auto-tuned pipeline: Bor-FAL by default, deferred
+                   ///< edge-list compaction on request (see champion_msf)
 };
 
 [[nodiscard]] std::string_view to_string(Algorithm a);
@@ -178,8 +178,10 @@ struct MsfOptions {
   StepTimes* step_times = nullptr;
   std::vector<IterationStat>* iteration_stats = nullptr;
   PhaseStats* phase_stats = nullptr;
-  /// compact-graph sort dispatch (kAuto = packed-key radix when possible;
-  /// the champion resolves kAuto to the hash dedup instead).
+  /// compact-graph sort dispatch for Bor-EL and the deferred edge-list engine
+  /// (kAuto = packed-key radix when possible; the champion's deferred engine
+  /// resolves kAuto to the hash dedup instead).  MST-BC ignores it: its
+  /// contraction deduplicates each rebuilt row without sorting.
   CompactSortMode compact_sort = CompactSortMode::kAuto;
   /// Deferred-compaction dispatch for Bor-EL/AL/ALM and the champion
   /// (kAuto = deferred whenever the packed find-min path is available).
@@ -287,13 +289,14 @@ graph::MsfResult mst_bc_msf(ThreadTeam& team, const graph::EdgeList& g,
 graph::MsfResult par_kruskal_msf(ThreadTeam& team, const graph::EdgeList& g,
                                  const MsfOptions& opts = {});
 
-/// The auto-tuned champion pipeline (the `solve` default): Bor-EL's edge
-/// list under deferred compaction, choosing per iteration between deferring
-/// (label composition only), the radix hash-map dedup, and a sort compact,
-/// from the measured live fraction and the working-set size.  Falls back to
-/// Bor-FAL when the packed find-min path is unavailable (m > 2^31 or a
-/// pinned FindMinMode::kScan).  Forests are bit-identical to every other
-/// variant.
+/// The auto-tuned champion pipeline (the `solve` default).  It runs the
+/// Bor-FAL engine, whose vertex-parallel find-min beats every edge-list
+/// engine on the measured inputs.  Only when the caller asks for deferral
+/// (DeferredCompactMode::kOn or an explicit compact_live_threshold) and the
+/// packed find-min path is available does it run Bor-EL's edge list under
+/// deferred compaction instead, choosing per iteration between deferring
+/// (label composition only), the radix hash-map dedup, and a sort compact.
+/// Forests are bit-identical to every other variant.
 graph::MsfResult champion_msf(ThreadTeam& team, const graph::EdgeList& g,
                               const MsfOptions& opts = {});
 

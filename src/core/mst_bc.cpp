@@ -2,6 +2,8 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <numeric>
+#include <span>
 #include <vector>
 
 #include "core/detail.hpp"
@@ -13,6 +15,7 @@
 #include "pprim/fault.hpp"
 #include "pprim/parallel_for.hpp"
 #include "pprim/permutation.hpp"
+#include "pprim/prefix_sum.hpp"
 #include "pprim/rng.hpp"
 #include "pprim/timer.hpp"
 #include "seq/indexed_heap.hpp"
@@ -37,6 +40,10 @@ struct BcGraph {
   VertexId n = 0;
   std::vector<EdgeId> offsets;  // n + 1
   struct Arc {
+    // Not value-initialized: resizing the arc buffers leaves them untouched
+    // (each CSR build overwrites every arc), so no thread pays to zero them.
+    Arc() {}
+    Arc(VertexId t, Weight weight, EdgeId id) : target(t), w(weight), orig(id) {}
     VertexId target;
     Weight w;
     EdgeId orig;
@@ -45,35 +52,78 @@ struct BcGraph {
   std::vector<Arc> arcs;
 };
 
-BcGraph build_from_edge_list(const EdgeList& g) {
-  BcGraph b;
-  b.n = g.num_vertices;
-  b.offsets.assign(static_cast<std::size_t>(b.n) + 1, 0);
-  for (const auto& e : g.edges) {
-    ++b.offsets[e.u + 1];
-    ++b.offsets[e.v + 1];
-  }
-  for (std::size_t i = 1; i < b.offsets.size(); ++i) b.offsets[i] += b.offsets[i - 1];
-  b.arcs.resize(b.offsets.back());
-  std::vector<EdgeId> cur(b.offsets.begin(), b.offsets.end() - 1);
-  for (EdgeId i = 0; i < g.edges.size(); ++i) {
-    const auto& e = g.edges[i];
-    b.arcs[cur[e.u]++] = {e.v, e.w, i};
-    b.arcs[cur[e.v]++] = {e.u, e.w, i};
-  }
-  return b;
-}
-
-/// Team-shared scratch for contract_rebuild_in_region (grow-only across
-/// contraction rounds — arc counts only shrink).
+/// Team-shared scratch for the CSR builds (grow-only across contraction
+/// rounds — arc counts only shrink).
 struct RebuildScratch {
-  std::vector<DirEdge> des;
-  std::vector<DirEdge> sorted;
-  std::vector<EdgeId> cs_counts;
-  std::vector<EdgeId> next_offsets;
-  std::vector<BcGraph::Arc> next_arcs;
-  detail::CompactScratch compact;
+  /// Last row of this round that saw a target, and the target's slot there.
+  struct Stamp { VertexId row, slot; };
+  explicit RebuildScratch(int p) : seen(static_cast<std::size_t>(p)) {}
+
+  BucketScatterScratch scatter;
+  std::vector<EdgeId> bucket_offsets;
+  std::vector<BcGraph::Arc> buckets;  // relabelled arcs grouped by new source
+  std::vector<EdgeId> next_offsets;   // deduplicated row lengths, then the CSR
+  std::vector<Padded<std::vector<Stamp>>> seen;  // one table per thread
+  std::atomic<std::size_t> dedup_cursor{0};
 };
+
+/// Rows handed out per grab of the dynamic dedup pass.
+constexpr std::size_t kRowChunk = 64;
+
+/// step 5: relabel through `labels`, drop self-loops, keep only the lightest
+/// multi-edge per supervertex pair, and rebuild the CSR for the next round.
+/// The surviving arcs are scattered straight into their new source's row;
+/// each row then keeps its WeightOrder-minimal arc per target (a per-thread
+/// stamp table finds the target's slot, so the row compacts in place in
+/// O(row length) with no sort), and a prefix over the kept lengths plus a
+/// gather yields the next CSR.  In-region, identical arguments on all threads.
+void contract_rebuild_in_region(TeamCtx& ctx, BcGraph& cur,
+                                std::span<const VertexId> labels, VertexId next_n,
+                                RebuildScratch& s) {
+  bucket_scatter_in_region(ctx, next_n, [&](auto&& put) {
+    for_csr_block(ctx, cur.offsets, [&](std::size_t v, std::size_t a) {
+      const auto& arc = cur.arcs[a];
+      const VertexId lt = labels[arc.target];
+      if (labels[v] != lt) put(labels[v], {lt, arc.w, arc.orig});
+    });
+  }, s.bucket_offsets, s.buckets, s.scatter);
+  if (ctx.tid() == 0) {
+    s.next_offsets.resize(static_cast<std::size_t>(next_n) + 1);
+    s.next_offsets[next_n] = 0;
+    s.dedup_cursor.store(0, std::memory_order_relaxed);
+  }
+  auto& seen = s.seen[static_cast<std::size_t>(ctx.tid())].value;
+  seen.assign(next_n, {kInvalidVertex, 0});
+  ctx.barrier();
+  for_range_dynamic(ctx, s.dedup_cursor, next_n, kRowChunk, [&](std::size_t k) {
+    const EdgeId lo = s.bucket_offsets[k];
+    VertexId kept = 0;
+    for (EdgeId i = lo; i < s.bucket_offsets[k + 1]; ++i) {
+      const BcGraph::Arc arc = s.buckets[i];
+      auto& st = seen[arc.target];
+      if (st.row != k) {
+        st = {static_cast<VertexId>(k), kept};
+        s.buckets[lo + kept++] = arc;
+      } else if (arc.order() < s.buckets[lo + st.slot].order()) {
+        s.buckets[lo + st.slot] = arc;
+      }
+    }
+    s.next_offsets[k] = kept;
+  });
+  ctx.barrier();
+  const EdgeId total =
+      prefix_sum_in_region(ctx, std::span<EdgeId>(s.next_offsets), s.scatter.scan);
+  if (ctx.tid() == 0) cur.arcs.resize(total);
+  ctx.barrier();
+  for_csr_block(ctx, s.next_offsets, [&](std::size_t k, std::size_t i) {
+    cur.arcs[i] = s.buckets[s.bucket_offsets[k] + i - s.next_offsets[k]];
+  });
+  ctx.barrier();
+  if (ctx.tid() == 0) {
+    cur.n = next_n;
+    cur.offsets.swap(s.next_offsets);
+  }
+}
 
 /// Heap key of a fringe vertex: its best known connecting edge.
 struct BcKey {
@@ -114,47 +164,6 @@ void solve_base_case(const BcGraph& g, std::vector<EdgeId>& out_ids) {
   }
 }
 
-/// step 5: relabel through `labels`, drop self-loops, keep only the lightest
-/// multi-edge per supervertex pair, and rebuild the CSR for the next round.
-/// In-region: all team threads call it inside an open SPMD region with
-/// identical arguments; the CSR rebuild is an in-region counting sort by
-/// source vertex whose key_offsets array is exactly the offsets array.
-void contract_rebuild_in_region(TeamCtx& ctx, BcGraph& cur,
-                                std::span<const VertexId> labels, VertexId next_n,
-                                CompactSortMode mode, RebuildScratch& s) {
-  if (ctx.tid() == 0) s.des.resize(cur.arcs.size());
-  ctx.barrier();
-  for_range(ctx, cur.n, [&](std::size_t v) {
-    for (EdgeId a = cur.offsets[v]; a < cur.offsets[v + 1]; ++a) {
-      const auto& arc = cur.arcs[a];
-      s.des[a] = {static_cast<VertexId>(v), arc.target, arc.w, arc.orig};
-    }
-  });
-  ctx.barrier();
-  detail::compact_arcs_in_region(ctx, s.des, labels, mode, s.compact);
-
-  const std::size_t f = s.des.size();
-  if (ctx.tid() == 0) {
-    s.sorted.resize(f);
-    s.next_arcs.resize(f);
-  }
-  ctx.barrier();
-  counting_sort_in_region(
-      ctx, std::span<const DirEdge>(s.des), std::span<DirEdge>(s.sorted.data(), f),
-      next_n, [](const DirEdge& e) { return static_cast<std::size_t>(e.u); },
-      s.next_offsets, s.cs_counts);
-  for_range(ctx, f, [&](std::size_t i) {
-    s.next_arcs[i] = {s.sorted[i].v, s.sorted[i].w, s.sorted[i].orig};
-  });
-  ctx.barrier();
-  if (ctx.tid() == 0) {
-    cur.n = next_n;
-    cur.offsets.swap(s.next_offsets);
-    cur.arcs.swap(s.next_arcs);
-  }
-  ctx.barrier();
-}
-
 }  // namespace
 
 /// MST-BC (§4, Alg. 1 + Alg. 2): p coordinated Prim instances growing
@@ -170,11 +179,22 @@ MsfResult mst_bc_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
   StepTimes st;
   WallTimer phase;
 
-  BcGraph cur = build_from_edge_list(g);
+  // Round 0: both directions of every input edge, bucketed by source.
+  BcGraph cur;
+  cur.n = g.num_vertices;
+  RebuildScratch rebuild_scratch(p);
+  team.run([&](TeamCtx& ctx) {
+    bucket_scatter_in_region(ctx, cur.n, [&](auto&& put) {
+      for_range(ctx, g.edges.size(), [&](std::size_t i) {
+        const auto& e = g.edges[i];
+        put(e.u, {e.v, e.w, i});
+        put(e.v, {e.u, e.w, i});
+      });
+    }, cur.offsets, cur.arcs, rebuild_scratch.scatter);
+  });
   detail::EdgeCollector collector(team.size());
   std::atomic<std::uint64_t> color_counter{1};
   ComponentsScratch comp_scratch;
-  RebuildScratch rebuild_scratch;
   std::vector<EdgeId> best;
   st.other += phase.elapsed_s();
 
@@ -183,6 +203,7 @@ MsfResult mst_bc_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
     const VertexId n = cur.n;
     const std::size_t edges_before = collector.total();
     const std::uint64_t regions_before = team.regions_started();
+    if (opts.iteration_stats) opts.iteration_stats->push_back({n, cur.arcs.size()});
 
     // --- steps 1-2: coordinated Prim growth --------------------------------
     phase.reset();
@@ -191,23 +212,16 @@ MsfResult mst_bc_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
     std::vector<char> visited(n, 0);
     std::vector<VertexId> parent(n, kInvalidVertex);
 
-    std::vector<VertexId> perm;
-    if (opts.bc_permute) {
-      perm = random_permutation(team, n, opts.seed);
-    } else {
-      perm.resize(n);
-      parallel_for(team, n, [&](std::size_t i) {
-        perm[i] = static_cast<VertexId>(i);
-      });
-    }
+    std::vector<VertexId> perm = opts.bc_permute ? random_permutation(team, n, opts.seed)
+                                                  : std::vector<VertexId>(n);
+    if (!opts.bc_permute) std::iota(perm.begin(), perm.end(), VertexId{0});
 
     std::vector<Part> parts(static_cast<std::size_t>(p));
     for (int t = 0; t < p; ++t) {
       const IndexRange r = block_range(n, t, p);
-      parts[static_cast<std::size_t>(t)].lo.store(static_cast<std::int64_t>(r.begin),
-                                                  std::memory_order_relaxed);
-      parts[static_cast<std::size_t>(t)].hi.store(static_cast<std::int64_t>(r.end),
-                                                  std::memory_order_relaxed);
+      Part& part = parts[static_cast<std::size_t>(t)];
+      part.lo.store(static_cast<std::int64_t>(r.begin), std::memory_order_relaxed);
+      part.hi.store(static_cast<std::int64_t>(r.end), std::memory_order_relaxed);
     }
 
     team.run([&](TeamCtx& ctx) {
@@ -273,9 +287,8 @@ MsfResult mst_bc_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
       }
       Rng steal_rng = Rng(opts.seed ^ 0x9e3779b97f4a7c15ULL)
                           .fork(static_cast<std::uint64_t>(tid));
-      const int start = p > 1 ? static_cast<int>(steal_rng.next_below(
-                                    static_cast<std::uint64_t>(p)))
-                              : 0;
+      const auto start =
+          static_cast<int>(steal_rng.next_below(static_cast<std::uint64_t>(p)));
       for (int off = 0; off < p; ++off) {
         Part& q = parts[static_cast<std::size_t>((start + off) % p)];
         for (;;) {
@@ -301,37 +314,43 @@ MsfResult mst_bc_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
       // leaves the siblings blocked at ctx.barrier() unless the poisoned
       // release rescues them — the hardest failure shape this layer covers.
       fault_point("mst-bc.step3.region");
-      // step 3: unvisited vertices pick their lightest incident edge via the
-      // shared slice-argmin of the find-min layer.
-      for_range(ctx, n, [&](std::size_t v) {
-        if (visited[v]) return;
-        const EdgeId b =
-            best_arc_in_slice(cur.arcs, cur.offsets[v], cur.offsets[v + 1]);
-        best[v] = b;
-        parent[v] = b == kInvalidEdge ? static_cast<VertexId>(v) : cur.arcs[b].target;
-      });
-      ctx.barrier();
-      // Record step-3 edges, mutual minima once.  A step-3 edge can never
-      // duplicate a tree edge: tree edges join two visited vertices.
-      for_range(ctx, n, [&](std::size_t v) {
-        const EdgeId b = best[v];
-        if (b == kInvalidEdge) return;
-        const VertexId other = cur.arcs[b].target;
-        const EdgeId ob = best[other];
-        const bool mutual = ob != kInvalidEdge && cur.arcs[ob].orig == cur.arcs[b].orig;
-        if (!(mutual && other < v)) collector.add(ctx.tid(), cur.arcs[b].orig);
-      });
-      ctx.barrier();
-
+      // step 3: vertices (the unvisited ones unless `all`) pick their
+      // lightest incident edge via the shared slice-argmin of the find-min
+      // layer.  The picks are recorded with mutual minima once; a step-3 edge
+      // can never duplicate a tree edge, as tree edges join visited vertices.
+      const auto pick_lightest = [&](bool all) {
+        for_range(ctx, n, [&](std::size_t v) {
+          if (visited[v] && !all) return;
+          const EdgeId b =
+              best_arc_in_slice(cur.arcs, cur.offsets[v], cur.offsets[v + 1]);
+          best[v] = b;
+          parent[v] = b == kInvalidEdge ? static_cast<VertexId>(v) : cur.arcs[b].target;
+        });
+        ctx.barrier();
+        for_range(ctx, n, [&](std::size_t v) {
+          const EdgeId b = best[v];
+          if (b == kInvalidEdge) return;
+          const VertexId other = cur.arcs[b].target;
+          const EdgeId ob = best[other];
+          const bool mutual = ob != kInvalidEdge && cur.arcs[ob].orig == cur.arcs[b].orig;
+          if (!(mutual && other < v)) collector.add(ctx.tid(), cur.arcs[b].orig);
+        });
+        ctx.barrier();
+      };
       // step 4: contract the induced components.
+      const auto contract = [&] {
+        pointer_jump_components_in_region(
+            ctx, std::span<VertexId>(parent.data(), n), comp_scratch);
+        return densify_labels_in_region(
+            ctx, std::span<VertexId>(parent.data(), n), comp_scratch);
+      };
+
+      pick_lightest(false);
       if (ctx.tid() == 0) {
         st.find_min += t0.elapsed_s();
         t0.reset();
       }
-      pointer_jump_components_in_region(
-          ctx, std::span<VertexId>(parent.data(), n), comp_scratch);
-      VertexId next_n = densify_labels_in_region(
-          ctx, std::span<VertexId>(parent.data(), n), comp_scratch);
+      VertexId next_n = contract();
       if (ctx.tid() == 0) {
         st.connect += t0.elapsed_s();
         t0.reset();
@@ -346,27 +365,8 @@ MsfResult mst_bc_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
         // adversarial schedule the paper notes; the permutation makes it
         // vanishingly rare).  Borůvka always progresses, so fall back to one
         // find-min-over-all-vertices round.
-        for_range(ctx, n, [&](std::size_t v) {
-          const EdgeId b =
-              best_arc_in_slice(cur.arcs, cur.offsets[v], cur.offsets[v + 1]);
-          best[v] = b;
-          parent[v] = b == kInvalidEdge ? static_cast<VertexId>(v) : cur.arcs[b].target;
-        });
-        ctx.barrier();
-        for_range(ctx, n, [&](std::size_t v) {
-          const EdgeId b = best[v];
-          if (b == kInvalidEdge) return;
-          const VertexId other = cur.arcs[b].target;
-          const EdgeId ob = best[other];
-          const bool mutual =
-              ob != kInvalidEdge && cur.arcs[ob].orig == cur.arcs[b].orig;
-          if (!(mutual && other < v)) collector.add(ctx.tid(), cur.arcs[b].orig);
-        });
-        ctx.barrier();
-        pointer_jump_components_in_region(
-            ctx, std::span<VertexId>(parent.data(), n), comp_scratch);
-        next_n = densify_labels_in_region(
-            ctx, std::span<VertexId>(parent.data(), n), comp_scratch);
+        pick_lightest(true);
+        next_n = contract();
       } else if (ctx.tid() == 0) {
         // step 5 only (fault semantics: the compact site never fires on the
         // fallback path, matching the pre-fusion behaviour).
@@ -375,7 +375,7 @@ MsfResult mst_bc_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
       fault_point("mst-bc.compact.region");
       contract_rebuild_in_region(ctx, cur,
                                  std::span<const VertexId>(parent.data(), n),
-                                 next_n, opts.compact_sort, rebuild_scratch);
+                                 next_n, rebuild_scratch);
       if (ctx.tid() == 0) st.compact += t0.elapsed_s();
     });
 

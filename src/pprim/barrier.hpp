@@ -39,8 +39,13 @@ class SenseBarrier {
   /// normal release; false if the barrier was poisoned (the region is
   /// unwinding and phase separation no longer holds).
   [[nodiscard]] bool arrive_and_wait() {
-    if (poisoned_.load(std::memory_order_acquire)) return false;
+    // Read the generation before the poison flag.  poison() sets the flag
+    // and then bumps the generation, so a thread that reads the bumped
+    // generation also sees the flag; checking the flag first could miss a
+    // poison() landing between the two reads and then wait forever on the
+    // already-bumped generation.
     const std::uint64_t gen = generation_.load(std::memory_order_acquire);
+    if (poisoned_.load(std::memory_order_acquire)) return false;
     if (count_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       count_.store(n_, std::memory_order_relaxed);
       generation_.fetch_add(1, std::memory_order_release);

@@ -5,68 +5,56 @@
 #include <span>
 #include <vector>
 
+#include "pprim/parallel_for.hpp"
 #include "pprim/partition.hpp"
+#include "pprim/prefix_sum.hpp"
 #include "pprim/thread_team.hpp"
 
 namespace smp {
 
-/// In-region parallel counting sort: stable scatter of `items` into `out`
-/// ordered by key(item) in [0, num_keys), usable inside an open SPMD region.
-/// All team threads call it with identical arguments; `counts` is team-shared
-/// scratch (grow-only, resized by tid 0 behind a barrier).  Also fills
-/// `key_offsets` (size num_keys + 1) with the start of each key's run in
-/// `out` — exactly a CSR offsets array.  The final barrier publishes `out`
-/// and `key_offsets` to every thread.
-template <class T, class KeyFn>
-void counting_sort_in_region(TeamCtx& ctx, std::span<const T> items,
-                             std::span<T> out, std::size_t num_keys, KeyFn&& key,
-                             std::vector<std::uint64_t>& key_offsets,
-                             std::vector<std::uint64_t>& counts) {
-  const std::size_t n = items.size();
-  const int p = ctx.nthreads();
-  const auto P = static_cast<std::size_t>(p);
+/// Team-shared scratch for bucket_scatter_in_region (grow-only).
+struct BucketScatterScratch {
+  std::vector<std::uint64_t> counts;  // (num_keys × p) key-major histogram
+  ScanScratch<std::uint64_t> scan;
+};
 
-  if (p == 1 || n < 1u << 14) {
-    if (ctx.tid() == 0) {
-      key_offsets.assign(num_keys + 1, 0);
-      for (std::size_t i = 0; i < n; ++i) ++key_offsets[key(items[i]) + 1];
-      for (std::size_t k = 1; k <= num_keys; ++k) key_offsets[k] += key_offsets[k - 1];
-      counts.assign(key_offsets.begin(), key_offsets.end() - 1);
-      for (std::size_t i = 0; i < n; ++i) out[counts[key(items[i])]++] = items[i];
-    }
-    if (p > 1) ctx.barrier();
-    return;
-  }
-
-  if (ctx.tid() == 0) {
-    key_offsets.assign(num_keys + 1, 0);
-    counts.assign(num_keys * P, 0);
-  }
-  ctx.barrier();
+/// In-region histogram → key-major prefix → scatter: groups the items that
+/// `emit` produces by key into `out`, a CSR whose row k is
+/// out[key_offsets[k] .. key_offsets[k + 1]).  `emit(put)` walks the calling
+/// thread's static block and calls put(key, item) for each item it produces
+/// (a filter, a relabel or a 1:2 expansion all fit); it must make the same
+/// calls on both of its passes.  The exclusive scan of the (num_keys × p)
+/// counts yields the row offsets and every thread's cursors at once, so each
+/// row lists its items in block order — stable, like counting_sort_by_key.
+/// tid 0 resizes `out`; when T's default constructor leaves it uninitialized,
+/// the scatter itself first-touches the new pages, in parallel.  All team
+/// threads call it with identical arguments; the final barrier publishes
+/// `out` and `key_offsets`.
+template <class T, class Emit>
+void bucket_scatter_in_region(TeamCtx& ctx, std::size_t num_keys, Emit&& emit,
+                              std::vector<std::uint64_t>& key_offsets,
+                              std::vector<T>& out, BucketScatterScratch& s) {
+  const auto P = static_cast<std::size_t>(ctx.nthreads());
   const auto t = static_cast<std::size_t>(ctx.tid());
-  const IndexRange r = block_range(n, ctx.tid(), ctx.nthreads());
-  for (std::size_t i = r.begin; i < r.end; ++i) {
-    ++counts[key(items[i]) * P + t];
+  if (t == 0) {
+    s.counts.resize(num_keys * P);
+    key_offsets.resize(num_keys + 1);
+    s.scan.ensure(ctx.nthreads());
   }
   ctx.barrier();
-  if (ctx.tid() == 0) {
-    std::uint64_t running = 0;
-    for (std::size_t k = 0; k < num_keys; ++k) {
-      key_offsets[k] = running;
-      for (std::size_t t2 = 0; t2 < P; ++t2) {
-        const std::uint64_t c = counts[k * P + t2];
-        counts[k * P + t2] = running;
-        running += c;
-      }
-    }
-    key_offsets[num_keys] = running;
+  for_range(ctx, s.counts.size(), [&](std::size_t i) { s.counts[i] = 0; });
+  ctx.barrier();
+  emit([&](std::size_t key, const T&) { ++s.counts[key * P + t]; });
+  ctx.barrier();
+  const std::uint64_t total =
+      prefix_sum_in_region(ctx, std::span<std::uint64_t>(s.counts), s.scan);
+  for_range(ctx, num_keys, [&](std::size_t k) { key_offsets[k] = s.counts[k * P]; });
+  if (t == 0) {
+    key_offsets[num_keys] = total;
+    out.resize(total);
   }
   ctx.barrier();
-  // Scatter: each thread uses its own cursors in counts[.. * P + t].
-  for (std::size_t i = r.begin; i < r.end; ++i) {
-    const std::size_t k = key(items[i]);
-    out[counts[k * P + t]++] = items[i];
-  }
+  emit([&](std::size_t key, const T& item) { out[s.counts[key * P + t]++] = item; });
   ctx.barrier();
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 
@@ -29,6 +30,23 @@ template <class Fn>
 void for_range(TeamCtx& ctx, std::size_t n, Fn&& fn) {
   const IndexRange r = block_range(n, ctx.tid(), ctx.nthreads());
   for (std::size_t i = r.begin; i < r.end; ++i) fn(i);
+}
+
+/// Item-balanced loop over a CSR usable *inside* an SPMD region: the calling
+/// thread gets one contiguous block of the offsets.back() items and calls
+/// fn(row, i) for each item i in it, row being the row that holds i
+/// (offsets[row] <= i < offsets[row + 1]).  Splitting items rather than rows
+/// keeps one heavy row from unbalancing the team.  No implicit barrier.
+template <class Offsets, class Fn>
+void for_csr_block(TeamCtx& ctx, const Offsets& offsets, Fn&& fn) {
+  const IndexRange r = block_range(offsets.back(), ctx.tid(), ctx.nthreads());
+  if (r.begin == r.end) return;
+  auto row = static_cast<std::size_t>(
+      std::upper_bound(offsets.begin(), offsets.end(), r.begin) - offsets.begin() - 1);
+  for (std::size_t i = r.begin; i < r.end; ++i) {
+    while (offsets[row + 1] <= i) ++row;
+    fn(row, i);
+  }
 }
 
 /// Dynamically scheduled loop usable *inside* an SPMD region.  `cursor` is

@@ -89,27 +89,23 @@ void ForestIndex::build(ThreadTeam& team, graph::VertexId n,
   fel.edges = fedges_;
   std::vector<std::uint32_t> rank = core::build_weight_ranks(team, fel);
 
-  // 2. CSR adjacency over the 2·mf arcs (stable counting sort by source).
-  std::vector<Arc> arcs(2 * mf);
-  parallel_for(team, mf, [&](std::size_t i) {
-    const graph::WEdge& e = fedges_[i];
-    const auto ei = static_cast<std::uint32_t>(i);
-    arcs[2 * i] = Arc{e.u, e.v, ei};
-    arcs[2 * i + 1] = Arc{e.v, e.u, ei};
-  });
-  std::vector<Arc> adj(arcs.size());
+  // 2. CSR adjacency over the 2·mf arcs, bucketed by source (rows list
+  // their arcs in forest order).
+  std::vector<Arc> adj;
   std::vector<std::uint64_t> off;
   {
-    std::vector<std::uint64_t> counts;
+    BucketScatterScratch scratch;
     team.run([&](TeamCtx& ctx) {
-      counting_sort_in_region(
-          ctx, std::span<const Arc>(arcs), std::span<Arc>(adj), n,
-          [](const Arc& a) { return static_cast<std::size_t>(a.src); }, off,
-          counts);
+      bucket_scatter_in_region(ctx, n, [&](auto&& put) {
+        for_range(ctx, mf, [&](std::size_t i) {
+          const graph::WEdge& e = fedges_[i];
+          const auto ei = static_cast<std::uint32_t>(i);
+          put(e.u, Arc{e.u, e.v, ei});
+          put(e.v, Arc{e.v, e.u, ei});
+        });
+      }, off, adj, scratch);
     });
   }
-  arcs.clear();
-  arcs.shrink_to_fit();
 
   // 3. Deterministic component labels; the root of each component is its
   // minimum vertex id (atomic write-min).

@@ -4,6 +4,7 @@
 
 #include "core/msf.hpp"
 #include "graph/generators.hpp"
+#include "pprim/rng.hpp"
 #include "seq/seq_msf.hpp"
 #include "test_util.hpp"
 
@@ -46,18 +47,80 @@ TEST(MstBC, PermutationToggle) {
 }
 
 TEST(MstBC, SingleThreadBehavesLikePrimOneRound) {
-  // With p=1 and a connected graph, the single Prim instance swallows the
-  // whole component: after one round the graph is fully contracted.
+  // With p=1 the single Prim instance swallows each component whole (no
+  // foreign tree can stop it): after one round the graph is fully contracted.
   const EdgeList g = random_graph(500, 2000, 7);
   core::MsfOptions opts;
   opts.algorithm = core::Algorithm::kMstBC;
   opts.threads = 1;
   opts.bc_base_size = 1;
   std::vector<core::IterationStat> stats;
-  opts.iteration_stats = nullptr;  // MST-BC does not trace iterations
+  opts.iteration_stats = &stats;
   const auto r = core::minimum_spanning_forest(g, opts);
   EXPECT_EQ(test::sorted_ids(r), test::sorted_ids(seq::prim_msf(g)));
-  (void)stats;
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].vertices, g.num_vertices);
+  EXPECT_EQ(stats[0].directed_edges, 2 * g.num_edges());
+}
+
+// The contraction rebuild (scatter by new source + per-row dedup) at full
+// recursion depth: the forest must equal Kruskal's edge for edge, and the
+// traced arc counts must stay even (both directions of every surviving edge
+// survive together) and never grow from one round to the next.
+void expect_rebuild_matches_kruskal(const EdgeList& g, const char* what) {
+  const auto kruskal = seq::kruskal_msf(g);
+  const auto ref = test::sorted_ids(kruskal);
+  for (const int threads : {1, 2, 4, 8}) {
+    core::MsfOptions opts;
+    opts.algorithm = core::Algorithm::kMstBC;
+    opts.threads = threads;
+    opts.bc_base_size = 1;
+    std::vector<core::IterationStat> stats;
+    opts.iteration_stats = &stats;
+    const auto r = core::minimum_spanning_forest(g, opts);
+    EXPECT_EQ(test::sorted_ids(r), ref) << what << " t=" << threads;
+    EXPECT_EQ(r.num_trees, kruskal.num_trees) << what << " t=" << threads;
+    ASSERT_FALSE(stats.empty()) << what << " t=" << threads;
+    for (std::size_t i = 0; i < stats.size(); ++i) {
+      EXPECT_EQ(stats[i].directed_edges % 2, 0u) << what << " round " << i;
+      if (i > 0) {
+        EXPECT_LE(stats[i].directed_edges, stats[i - 1].directed_edges)
+            << what << " t=" << threads << " round " << i;
+        EXPECT_LT(stats[i].vertices, stats[i - 1].vertices)
+            << what << " t=" << threads << " round " << i;
+      }
+    }
+  }
+}
+
+TEST(MstBC, RebuildAllEqualWeights) {
+  // Every duplicate ⟨u, v⟩ arc ties on weight, so the edge-id tie-break alone
+  // decides which one each row keeps.
+  EdgeList g = random_graph(3000, 15000, 13);
+  for (auto& e : g.edges) e.w = 1.0;
+  expect_rebuild_matches_kruskal(g, "equal-weights");
+}
+
+TEST(MstBC, RebuildDenseMultigraph) {
+  // 150 vertices, 12000 edges with repeated endpoint pairs and few distinct
+  // weights: every contraction turns many arcs into parallel ones.
+  EdgeList g(150);
+  Rng rng(14);
+  while (g.num_edges() < 12000) {
+    const auto u = static_cast<VertexId>(rng.next_below(150));
+    const auto v = static_cast<VertexId>(rng.next_below(150));
+    if (u != v) g.add_edge(u, v, static_cast<Weight>(rng.next_below(8)));
+  }
+  expect_rebuild_matches_kruskal(g, "multigraph");
+}
+
+TEST(MstBC, RebuildIsolatedVertices) {
+  // Only even vertices carry edges; every odd one is isolated and stays a
+  // one-vertex component (an empty row) through every rebuild.
+  const EdgeList half = random_graph(2000, 8000, 15);
+  EdgeList g(4000);
+  for (const auto& e : half.edges) g.add_edge(2 * e.u, 2 * e.v, e.w);
+  expect_rebuild_matches_kruskal(g, "isolated");
 }
 
 TEST(MstBC, HighCollisionStress) {

@@ -139,6 +139,45 @@ TEST(SenseBarrierPoison, ReleasesWaiterWithFailure) {
   EXPECT_FALSE(b.poisoned());
 }
 
+TEST(SenseBarrierPoison, PoisonRacingAnArrivalNeverStrandsIt) {
+  // Race one arrival against one poison(), over and over for two seconds: a
+  // poison() landing anywhere inside arrive_and_wait() must release the
+  // arriving thread.  A stranded waiter is detected by timeout and rescued by
+  // a second poison(), so a regression fails here instead of hanging the
+  // suite.
+  SenseBarrier b(2);
+  std::atomic<int> phase{0};
+  std::atomic<int> finished{0};
+  std::thread waiter([&] {
+    for (int k = 1;; ++k) {
+      int ph = phase.load();
+      while (ph != k && ph >= 0) ph = phase.load();
+      if (ph < 0) return;
+      (void)b.arrive_and_wait();
+      finished.store(k);
+    }
+  });
+  int stranded = 0;
+  const auto end = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  for (int k = 1; std::chrono::steady_clock::now() < end && stranded == 0; ++k) {
+    b.reset();
+    phase.store(k);
+    b.poison();
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (finished.load() != k && std::chrono::steady_clock::now() < deadline) {
+    }
+    if (finished.load() != k) {
+      ++stranded;
+      b.poison();
+      while (finished.load() != k) {
+      }
+    }
+  }
+  phase.store(-1);
+  waiter.join();
+  EXPECT_EQ(stranded, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Fault injection into the five parallel algorithms
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "pprim/counting_sort.hpp"
+#include "pprim/parallel_for.hpp"
 #include "pprim/reduce.hpp"
 #include "pprim/rng.hpp"
 #include "pprim/thread_team.hpp"
@@ -68,6 +69,71 @@ TEST(CountingSort, SingleKeyDegenerate) {
                        [](const Item& x) { return x.key; }, offsets);
   EXPECT_EQ(out, in) << "stability preserves input order within one key";
   EXPECT_EQ(offsets, (std::vector<std::uint64_t>{0, in.size()}));
+}
+
+TEST_P(CountingSortTest, BucketScatterFiltersAndExpandsStably) {
+  // emit drops every item whose payload is divisible by 3 and emits the rest
+  // twice, under its own key and under the next one: the CSR must equal a
+  // stable sort of that sequential output, rows in block (= input) order.
+  ThreadTeam team(GetParam());
+  BucketScatterScratch scratch;
+  std::vector<std::uint64_t> offsets;
+  std::vector<Item> out;
+  for (const std::size_t n : {0u, 1u, 1000u, 100000u}) {
+    const std::size_t num_keys = 61;
+    Rng rng(n + 7);
+    std::vector<Item> in(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      in[i] = {static_cast<std::uint32_t>(rng.next_below(num_keys - 1)), i};
+    }
+    team.run([&](TeamCtx& ctx) {
+      bucket_scatter_in_region(ctx, num_keys, [&](auto&& put) {
+        for_range(ctx, n, [&](std::size_t i) {
+          if (in[i].payload % 3 == 0) return;
+          put(in[i].key, in[i]);
+          put(in[i].key + 1, Item{in[i].key + 1, in[i].payload});
+        });
+      }, offsets, out, scratch);
+    });
+
+    std::vector<Item> expect;
+    for (const Item& x : in) {
+      if (x.payload % 3 == 0) continue;
+      expect.push_back(x);
+      expect.push_back({x.key + 1, x.payload});
+    }
+    std::stable_sort(expect.begin(), expect.end(),
+                     [](const Item& a, const Item& b) { return a.key < b.key; });
+    ASSERT_EQ(out, expect) << "n=" << n << " p=" << GetParam();
+    ASSERT_EQ(offsets.size(), num_keys + 1);
+    EXPECT_EQ(offsets.back(), expect.size());
+    for (std::size_t k = 0; k < num_keys; ++k) {
+      for (std::uint64_t i = offsets[k]; i < offsets[k + 1]; ++i) {
+        ASSERT_EQ(out[i].key, k) << "n=" << n << " p=" << GetParam();
+      }
+    }
+  }
+}
+
+TEST_P(CountingSortTest, CsrBlockVisitsEveryItemOnceWithItsRow) {
+  // Empty rows (leading, trailing, interior) and one row heavier than a
+  // whole thread's block.
+  const std::vector<std::uint64_t> offsets = {0, 0, 3, 3, 3, 5000, 5001, 5007, 5007};
+  ThreadTeam team(GetParam());
+  std::vector<std::uint32_t> row_of(offsets.back(), 0);
+  std::vector<std::uint32_t> visits(offsets.back(), 0);
+  team.run([&](TeamCtx& ctx) {
+    for_csr_block(ctx, offsets, [&](std::size_t row, std::size_t i) {
+      row_of[i] = static_cast<std::uint32_t>(row);
+      ++visits[i];
+    });
+  });
+  for (std::size_t row = 0; row + 1 < offsets.size(); ++row) {
+    for (std::uint64_t i = offsets[row]; i < offsets[row + 1]; ++i) {
+      ASSERT_EQ(visits[i], 1u) << "item " << i << " p=" << GetParam();
+      ASSERT_EQ(row_of[i], row) << "item " << i << " p=" << GetParam();
+    }
+  }
 }
 
 TEST(ParallelReduce, SumAndMaxMatchSerial) {
