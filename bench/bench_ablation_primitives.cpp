@@ -1,5 +1,5 @@
 // Ablation: thread scaling of the pprim substrate itself — prefix sums,
-// sample sort, radix sort, random permutation, counting sort.  These bound
+// sample sort, random permutation, counting sort.  These bound
 // what the algorithms built on top can achieve.
 #include <cstdint>
 #include <cstdio>
@@ -9,7 +9,6 @@
 #include "pprim/counting_sort.hpp"
 #include "pprim/permutation.hpp"
 #include "pprim/prefix_sum.hpp"
-#include "pprim/radix_sort.hpp"
 #include "pprim/rng.hpp"
 #include "pprim/sample_sort.hpp"
 #include "pprim/thread_team.hpp"
@@ -48,10 +47,6 @@ int main(int argc, char** argv) {
   row("sample-sort", [&](ThreadTeam& team) {
     auto data = base;
     sample_sort(team, data, std::less<>{});
-  });
-  row("radix-sort", [&](ThreadTeam& team) {
-    auto data = base;
-    radix_sort_by_key(team, data, [](std::uint64_t x) { return x; });
   });
   row("counting-sort", [&](ThreadTeam& team) {
     std::vector<std::uint64_t> out(base.size());

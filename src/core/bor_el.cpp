@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/atomic_min.hpp"
-#include "core/deferred_el.hpp"
 #include "core/detail.hpp"
 #include "core/find_min.hpp"
 #include "core/hook_jump.hpp"
@@ -22,10 +21,33 @@ using graph::kInvalidEdge;
 using graph::MsfResult;
 using graph::VertexId;
 
+namespace {
+
+/// Directed edge record: each undirected edge appears twice, once per
+/// direction, exactly as §2.1 of the paper describes.
+struct DirEdge {
+  // Not value-initialized: resizing the contraction buffers leaves them
+  // untouched (each rebuild overwrites every arc), so no thread pays to zero
+  // them.
+  DirEdge() {}
+  DirEdge(VertexId from, VertexId to, graph::Weight weight, EdgeId id)
+      : u(from), target(to), w(weight), orig(id) {}
+  VertexId u;
+  VertexId target;
+  graph::Weight w;
+  EdgeId orig;  ///< index of the undirected edge in the input list
+
+  [[nodiscard]] graph::WeightOrder order() const { return {w, orig}; }
+};
+
+}  // namespace
+
 /// Bor-EL (§2.1): edge-list representation.  find-min races atomic
-/// write-mins per vertex; compact-graph packs ⟨supervertex(u),
-/// supervertex(v)⟩ into one 64-bit key and radix-sorts the directed edge
-/// list, then merges self-loops and multi-edges by prefix sum.
+/// write-mins per vertex; compact-graph relabels both endpoints, drops
+/// self-loops and keeps the lightest of every group of multi-edges — the
+/// shared contraction kernel (detail::contract_in_region) scatters the arcs
+/// by new source and deduplicates each row, so the next edge list comes out
+/// grouped by source.
 ///
 /// The packed-key find-min path (FindMinMode::kSimd, the kAuto default)
 /// folds each arc's ⟨weight-rank, index⟩ into one uint64 on the fly, so the
@@ -45,20 +67,6 @@ using graph::VertexId;
 /// semantics, and a throw there poisons the barrier so the whole team
 /// unwinds).
 MsfResult bor_el_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts) {
-  // Deferred compaction (the default on the packed find-min path) runs the
-  // same edge-list algorithm through the shared watermark engine; the eager
-  // loop below is the reference and the FindMinMode::kScan / opted-out path.
-  if (detail::deferred_compact_enabled(
-          opts, resolve_find_min_mode(opts.find_min, g.edges.size()) ==
-                    FindMinMode::kSimd)) {
-    static constexpr detail::DeferredElConfig cfg{
-        "bor-el.find-min",       "bor-el.connect",
-        "bor-el.connect.region", "bor-el.compact",
-        "bor-el.compact.region", "Bor-EL iteration",
-        /*prefer_hash=*/false};
-    return detail::deferred_el_msf(team, g, opts, cfg);
-  }
-
   const VertexId n = g.num_vertices;
   StepTimes st;
   WallTimer phase;
@@ -68,9 +76,10 @@ MsfResult bor_el_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
   arcs.reserve(2 * g.edges.size());
   for (EdgeId i = 0; i < g.edges.size(); ++i) {
     const auto& e = g.edges[i];
-    arcs.push_back({e.u, e.v, e.w, i});
-    arcs.push_back({e.v, e.u, e.w, i});
+    arcs.emplace_back(e.u, e.v, e.w, i);
+    arcs.emplace_back(e.v, e.u, e.w, i);
   }
+  std::vector<EdgeId> offsets;  // by-product of the contraction; unread
 
   const int p = team.size();
   const FindMinMode mode = resolve_find_min_mode(opts.find_min, g.edges.size());
@@ -91,7 +100,7 @@ MsfResult bor_el_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
   }
   std::vector<VertexId> parent(n);
   ComponentsScratch comp_scratch;
-  detail::CompactScratch compact_scratch;
+  detail::ContractScratch<DirEdge> contract_scratch(p);
   VertexId cur_n = n;
   st.other += phase.elapsed_s();
 
@@ -168,12 +177,12 @@ MsfResult bor_el_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
             return;
           }
           const DirEdge& e = arcs[key_index(bk)];
-          parent[v] = e.v;
+          parent[v] = e.target;
           // Same undirected edge ⇔ same weight rank (ranks are unique).
-          const std::uint64_t ob = best_keys[e.v];
+          const std::uint64_t ob = best_keys[e.target];
           const bool other_also_chose =
               ob != kEmptyKey && key_rank(ob) == key_rank(bk);
-          if (!(other_also_chose && e.v < v)) {
+          if (!(other_also_chose && e.target < v)) {
             collector.add(ctx.tid(), e.orig);
           }
         });
@@ -185,11 +194,11 @@ MsfResult bor_el_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
             return;
           }
           const DirEdge& e = arcs[b];
-          parent[v] = e.v;
-          const EdgeId ob = best[e.v].load(std::memory_order_relaxed);
+          parent[v] = e.target;
+          const EdgeId ob = best[e.target].load(std::memory_order_relaxed);
           const bool other_also_chose =
               ob != kInvalidEdge && arcs[ob].orig == e.orig;
-          if (!(other_also_chose && e.v < v)) {
+          if (!(other_also_chose && e.target < v)) {
             collector.add(ctx.tid(), e.orig);
           }
         });
@@ -208,9 +217,14 @@ MsfResult bor_el_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
         fault_point("bor-el.compact");
       }
       fault_point("bor-el.compact.region");
-      detail::compact_arcs_in_region(
-          ctx, arcs, std::span<const VertexId>(parent.data(), cur_n),
-          opts.compact_sort, compact_scratch);
+      detail::contract_in_region(ctx, roots, [&](auto&& put) {
+        for_range(ctx, m, [&](std::size_t i) {
+          const DirEdge& e = arcs[i];
+          const VertexId lu = parent[e.u];
+          const VertexId lv = parent[e.target];
+          if (lu != lv) put(lu, {lu, lv, e.w, e.orig});
+        });
+      }, offsets, arcs, contract_scratch);
       if (ctx.tid() == 0) st.compact += t0.elapsed_s();
     });
 

@@ -24,9 +24,9 @@ using graph::Weight;
 
 namespace {
 
-/// Whether the streaming Bor-FAL engine serves this request.  kChampion's
-/// sparse-graph pick IS Bor-FAL-with-packed-keys (see champion.cpp), so both
-/// stream; every other algorithm keeps its own arc layout and goes eager.
+/// Whether the streaming Bor-FAL engine serves this request.  kChampion runs
+/// the Bor-FAL engine, so both stream; every other algorithm keeps its own
+/// arc layout and goes eager.
 [[nodiscard]] bool streamable(const MsfOptions& opts, std::size_t m) {
   if (opts.algorithm != Algorithm::kBorFAL &&
       opts.algorithm != Algorithm::kChampion) {

@@ -2,19 +2,11 @@
 
 #include <algorithm>
 
-#include "core/atomic_min.hpp"
-#include "pprim/parallel_for.hpp"
-#include "pprim/prefix_sum.hpp"
-#include "pprim/radix_sort.hpp"
-#include "pprim/sample_sort.hpp"
-
 namespace smp::core::detail {
 
 using graph::EdgeId;
 using graph::EdgeList;
-using graph::kInvalidEdge;
 using graph::MsfResult;
-using graph::VertexId;
 
 MsfResult assemble_result(const EdgeList& input, std::vector<EdgeId> ids) {
   MsfResult res;
@@ -30,183 +22,6 @@ MsfResult assemble_result(const EdgeList& input, std::vector<EdgeId> ids) {
   }
   res.num_trees = input.num_vertices - res.edges.size();
   return res;
-}
-
-std::size_t CompactScratch::footprint_bytes() const {
-  std::size_t b = 0;
-  b += keep.capacity() * sizeof(EdgeId);
-  b += filtered.capacity() * sizeof(DirEdge);
-  b += head.capacity() * sizeof(EdgeId);
-  b += out.capacity() * sizeof(DirEdge);
-  b += radix.aux.capacity() * sizeof(DirEdge);
-  b += (radix.keys.capacity() + radix.keys_aux.capacity() +
-        radix.counts.capacity() + radix.scan.capacity()) *
-       sizeof(std::uint64_t);
-  b += (sample.samples.capacity() + sample.splitters.capacity() +
-        sample.aux.capacity()) *
-       sizeof(DirEdge);
-  b += (sample.counts.capacity() + sample.piece_begin.capacity()) *
-       sizeof(std::size_t);
-  b += hash.footprint_bytes();
-  b += winner_cap * sizeof(std::atomic<EdgeId>);
-  return b;
-}
-
-void CompactScratch::maybe_release(std::size_t need) {
-  // The largest per-arc buffer tracks the biggest compact seen so far; once
-  // the current arc count is a small fraction of that, re-allocating at the
-  // new scale is cheaper than pinning the peak slabs until solve end.
-  const std::size_t retained =
-      std::max({keep.capacity(), filtered.capacity(), out.capacity(),
-                hash.part.capacity()});
-  if (retained < kShrinkFloor) return;
-  if (need >= retained / kShrinkDivisor) return;
-  std::vector<EdgeId>().swap(keep);
-  std::vector<DirEdge>().swap(filtered);
-  std::vector<EdgeId>().swap(head);
-  std::vector<DirEdge>().swap(out);
-  radix = RadixSortScratch<DirEdge>{};
-  sample = SampleSortScratch<DirEdge>{};
-  hash.release();
-  winner.reset();
-  winner_cap = 0;
-}
-
-void compact_arcs_in_region(TeamCtx& ctx, std::vector<DirEdge>& arcs,
-                            std::span<const VertexId> labels,
-                            CompactSortMode mode, CompactScratch& s) {
-  const std::size_t m = arcs.size();
-  const int p = ctx.nthreads();
-
-  if (ctx.tid() == 0) {
-    s.maybe_release(m);
-    if (s.keep.size() < m) s.keep.resize(m);
-    s.scan.ensure(p);
-  }
-  ctx.barrier();
-
-  // Relabel and mark survivors (non-self-loops) in one pass.
-  for_range(ctx, m, [&](std::size_t i) {
-    DirEdge& e = arcs[i];
-    e.u = labels[e.u];
-    e.v = labels[e.v];
-    s.keep[i] = e.u != e.v ? 1 : 0;
-  });
-  ctx.barrier();
-  const EdgeId survivors =
-      prefix_sum_in_region(ctx, std::span<EdgeId>(s.keep.data(), m), s.scan);
-  if (ctx.tid() == 0) s.filtered.resize(survivors);
-  ctx.barrier();
-  for_range(ctx, m, [&](std::size_t i) {
-    const bool live = (i + 1 < m ? s.keep[i + 1] : survivors) != s.keep[i];
-    if (live) s.filtered[s.keep[i]] = arcs[i];
-  });
-  ctx.barrier();
-
-  constexpr bool kPackable = sizeof(VertexId) <= 4;
-
-  // Hash mode resolves duplicate ⟨u, v⟩ pairs without sorting at all: one
-  // stable bucket scatter plus L2-resident open-addressing tables keep the
-  // WeightOrder-minimal arc per pair.  The output is deduplicated but not
-  // pair-sorted — no Borůvka loop depends on arc order.
-  if (mode == CompactSortMode::kHash && kPackable) {
-    radix_hash_dedup_in_region(
-        ctx, s.filtered, s.hash,
-        [](const DirEdge& e) {
-          return (static_cast<std::uint64_t>(e.u) << 32) |
-                 static_cast<std::uint64_t>(e.v);
-        },
-        [](const DirEdge& a, const DirEdge& b) { return a.order() < b.order(); },
-        ctx.tid() == 0 ? &s.hash_stats : nullptr);
-    if (ctx.tid() == 0) arcs.swap(s.filtered);
-    ctx.barrier();
-    return;
-  }
-
-  // Sort so that multi-edges between the same supervertex pair become
-  // consecutive.  When ⟨u, v⟩ packs into a 64-bit integer (always with a
-  // 32-bit VertexId), LSD radix sort beats the comparison sample sort.
-  const bool use_radix =
-      mode == CompactSortMode::kRadix ||
-      (mode == CompactSortMode::kAuto && kPackable) ||
-      (mode == CompactSortMode::kHash && !kPackable);
-  if (use_radix) {
-    radix_sort_in_region(ctx, s.filtered, s.radix, [](const DirEdge& e) {
-      return (static_cast<std::uint64_t>(e.u) << 32) |
-             static_cast<std::uint64_t>(e.v);
-    });
-  } else {
-    sample_sort_in_region(ctx, s.filtered, s.sample, DirEdgeCompactLess{});
-  }
-
-  // Mark ⟨u, v⟩ group heads and prefix-sum them into dense group ids.
-  const std::size_t f = s.filtered.size();
-  if (ctx.tid() == 0) {
-    if (s.head.size() < f) s.head.resize(f);
-  }
-  ctx.barrier();
-  for_range(ctx, f, [&](std::size_t i) {
-    s.head[i] = (i == 0 || s.filtered[i].u != s.filtered[i - 1].u ||
-                 s.filtered[i].v != s.filtered[i - 1].v)
-                    ? 1
-                    : 0;
-  });
-  ctx.barrier();
-  const EdgeId uniques =
-      prefix_sum_in_region(ctx, std::span<EdgeId>(s.head.data(), f), s.scan);
-  if (ctx.tid() == 0) {
-    s.out.resize(uniques);
-    if (use_radix && s.winner_cap < uniques) {
-      s.winner = std::make_unique<std::atomic<EdgeId>[]>(uniques);
-      s.winner_cap = uniques;
-    }
-  }
-  ctx.barrier();
-
-  if (use_radix) {
-    // The radix sort grouped by ⟨u, v⟩ but (being stable on the packed key
-    // alone) did not order groups by weight — resolve each group's lightest
-    // arc by atomic write-min under the WeightOrder total order, which is
-    // deterministic regardless of scheduling.
-    for_range(ctx, uniques, [&](std::size_t g) {
-      s.winner[g].store(kInvalidEdge, std::memory_order_relaxed);
-    });
-    ctx.barrier();
-    const auto better = [&](EdgeId a, EdgeId b) {
-      return s.filtered[a].order() < s.filtered[b].order();
-    };
-    for_range(ctx, f, [&](std::size_t i) {
-      // After the exclusive scan, head[i] equals the group id only at head
-      // positions; for every element the group id is the inclusive scan
-      // (head[i+1], or `uniques` at the end) minus one.
-      const EdgeId grp = (i + 1 < f ? s.head[i + 1] : uniques) - 1;
-      atomic_write_min(s.winner[grp], static_cast<EdgeId>(i), better);
-    });
-    ctx.barrier();
-    for_range(ctx, uniques, [&](std::size_t g) {
-      s.out[g] = s.filtered[s.winner[g].load(std::memory_order_relaxed)];
-    });
-  } else {
-    // The comparator sort put the lightest arc of each group first.
-    for_range(ctx, f, [&](std::size_t i) {
-      const bool is_head = (i + 1 < f ? s.head[i + 1] : uniques) != s.head[i];
-      if (is_head) s.out[s.head[i]] = s.filtered[i];
-    });
-  }
-  ctx.barrier();
-  if (ctx.tid() == 0) arcs.swap(s.out);
-  ctx.barrier();
-}
-
-std::vector<DirEdge> compact_arcs(ThreadTeam& team, std::vector<DirEdge>&& arcs,
-                                  std::span<const VertexId> labels,
-                                  CompactSortMode mode) {
-  std::vector<DirEdge> result = std::move(arcs);
-  CompactScratch scratch;
-  team.run([&](TeamCtx& ctx) {
-    compact_arcs_in_region(ctx, result, labels, mode, scratch);
-  });
-  return result;
 }
 
 }  // namespace smp::core::detail

@@ -1,18 +1,15 @@
 #pragma once
 
 #include <atomic>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "core/dir_edge.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/msf_result.hpp"
 #include "pprim/cacheline.hpp"
+#include "pprim/counting_sort.hpp"
+#include "pprim/parallel_for.hpp"
 #include "pprim/prefix_sum.hpp"
-#include "pprim/radix_hash_map.hpp"
-#include "pprim/radix_sort.hpp"
-#include "pprim/sample_sort.hpp"
 #include "pprim/thread_team.hpp"
 
 namespace smp::core::detail {
@@ -52,63 +49,84 @@ class EdgeCollector {
 graph::MsfResult assemble_result(const graph::EdgeList& input,
                                  std::vector<graph::EdgeId> ids);
 
-/// Team-shared scratch for compact_arcs_in_region.  Grow-only within a
-/// plateau: the fused Borůvka loop allocates once and later iterations
-/// (whose arc count only shrinks) reuse the capacity — until the arc count
-/// collapses far below it, at which point maybe_release() returns the peak
-/// slabs to the allocator (and thus to the arena memory-cap headroom)
-/// instead of pinning iteration-1-sized buffers until solve end.
-struct CompactScratch {
-  std::vector<graph::EdgeId> keep;
-  std::vector<DirEdge> filtered;
-  std::vector<graph::EdgeId> head;
-  std::vector<DirEdge> out;
-  RadixSortScratch<DirEdge> radix;
-  SampleSortScratch<DirEdge> sample;
-  RadixHashMapScratch<DirEdge> hash;
-  HashDedupStats hash_stats;
-  ScanScratch<graph::EdgeId> scan;
-  /// Per-⟨u,v⟩-group index of the lightest arc (radix path only; atomics are
-  /// not movable, hence the manual grow-only buffer instead of a vector).
-  std::unique_ptr<std::atomic<graph::EdgeId>[]> winner;
-  std::size_t winner_cap = 0;
+/// Team-shared scratch for contract_in_region (grow-only across iterations —
+/// arc counts only shrink).
+template <class Arc>
+struct ContractScratch {
+  /// Last row of this round that saw a target, and the target's slot there.
+  struct Stamp {
+    graph::VertexId row, slot;
+  };
+  explicit ContractScratch(int p) : seen(static_cast<std::size_t>(p)) {}
 
-  /// Bytes currently retained across all member buffers (capacity, not size).
-  [[nodiscard]] std::size_t footprint_bytes() const;
-
-  /// Release every retained buffer when `need` (the arc count about to be
-  /// compacted) has dropped below 1/kShrinkDivisor of the largest retained
-  /// capacity — the next compact re-allocates at the new, smaller scale.
-  /// Single-threaded: call on tid 0 behind a barrier (compact_arcs_in_region
-  /// does) or outside any region.
-  void maybe_release(std::size_t need);
-
-  /// Capacity ratio that triggers maybe_release.  4x means a release can
-  /// recoup at least ~75% of the retained bytes.
-  static constexpr std::size_t kShrinkDivisor = 4;
-  /// Never bother releasing below this many retained arcs' worth of buffers.
-  static constexpr std::size_t kShrinkFloor = std::size_t{1} << 14;
+  BucketScatterScratch scatter;
+  std::vector<graph::EdgeId> bucket_offsets;
+  std::vector<Arc> buckets;                 // relabelled arcs grouped by new source
+  std::vector<graph::EdgeId> next_offsets;  // deduplicated row lengths, then the CSR
+  std::vector<Padded<std::vector<Stamp>>> seen;  // one table per thread
+  std::atomic<std::size_t> dedup_cursor{0};
 };
 
-/// In-region compact-graph (Bor-EL §2.1): relabel endpoints through
-/// `labels`, drop self-loops, sort so multi-edges between the same
-/// supervertex pair become consecutive, and keep only the lightest arc of
-/// every ⟨u, v⟩ group.  Replaces `arcs` in place.  All team threads call it
-/// inside an open SPMD region with identical arguments; the final barrier
-/// publishes the result.
+/// compact-graph, the one contraction kernel of the Borůvka loops (Bor-EL,
+/// MST-BC): rebuild the arc set over the `next_n` supervertices as a CSR
+/// that holds, per source row, only the WeightOrder-minimal arc to each
+/// target.
 ///
-/// Sort dispatch (CompactSortMode::kAuto): ⟨u, v⟩ packs into one uint64_t
-/// whenever VertexId fits 32 bits, so the compact sort runs as a packed-key
-/// LSD radix sort; group minima are then resolved by atomic write-min under
-/// the WeightOrder total order — the identical deduplicated output the
-/// three-field-comparator sample sort produces.
-void compact_arcs_in_region(TeamCtx& ctx, std::vector<DirEdge>& arcs,
-                            std::span<const graph::VertexId> labels,
-                            CompactSortMode mode, CompactScratch& scratch);
-
-/// Fork-join wrapper around compact_arcs_in_region (one SPMD region).
-std::vector<DirEdge> compact_arcs(ThreadTeam& team, std::vector<DirEdge>&& arcs,
-                                  std::span<const graph::VertexId> labels,
-                                  CompactSortMode mode = CompactSortMode::kAuto);
+/// `emit(put)` walks the calling thread's share of the current arcs and calls
+/// put(new_source, arc) for every arc that is not a self-loop, the arc
+/// already carrying its new endpoints; it must make the same calls on both of
+/// its passes (see bucket_scatter_in_region).  Arc has a `target` field and
+/// an `order()` under WeightOrder.  The kernel scatters the arcs straight
+/// into their new source's row; each row then keeps its lightest arc per
+/// target — a per-thread stamp table finds the target's slot, so the row
+/// compacts in place in O(row length) with no sort — and a prefix over the
+/// kept lengths plus a gather yields the next CSR in `offsets` (next_n + 1
+/// entries) and `arcs`.  `emit` may read the current `offsets` and `arcs`: they are only
+/// overwritten after the scatter.  In-region, identical arguments on all
+/// threads; the final barrier publishes the result.
+template <class Arc, class Emit>
+void contract_in_region(TeamCtx& ctx, graph::VertexId next_n, Emit&& emit,
+                        std::vector<graph::EdgeId>& offsets,
+                        std::vector<Arc>& arcs, ContractScratch<Arc>& s) {
+  using graph::EdgeId;
+  using graph::VertexId;
+  constexpr std::size_t kRowChunk = 64;  // rows per grab of the dedup pass
+  bucket_scatter_in_region(ctx, next_n, emit, s.bucket_offsets, s.buckets,
+                           s.scatter);
+  if (ctx.tid() == 0) {
+    s.next_offsets.resize(static_cast<std::size_t>(next_n) + 1);
+    s.next_offsets[next_n] = 0;
+    s.dedup_cursor.store(0, std::memory_order_relaxed);
+  }
+  auto& seen = s.seen[static_cast<std::size_t>(ctx.tid())].value;
+  seen.assign(next_n, {graph::kInvalidVertex, 0});
+  ctx.barrier();
+  for_range_dynamic(ctx, s.dedup_cursor, next_n, kRowChunk, [&](std::size_t k) {
+    const EdgeId lo = s.bucket_offsets[k];
+    VertexId kept = 0;
+    for (EdgeId i = lo; i < s.bucket_offsets[k + 1]; ++i) {
+      const Arc arc = s.buckets[i];
+      auto& st = seen[arc.target];
+      if (st.row != k) {
+        st = {static_cast<VertexId>(k), kept};
+        s.buckets[lo + kept++] = arc;
+      } else if (arc.order() < s.buckets[lo + st.slot].order()) {
+        s.buckets[lo + st.slot] = arc;
+      }
+    }
+    s.next_offsets[k] = kept;
+  });
+  ctx.barrier();
+  const EdgeId total =
+      prefix_sum_in_region(ctx, std::span<EdgeId>(s.next_offsets), s.scatter.scan);
+  if (ctx.tid() == 0) arcs.resize(total);
+  ctx.barrier();
+  for_csr_block(ctx, s.next_offsets, [&](std::size_t k, std::size_t i) {
+    arcs[i] = s.buckets[s.bucket_offsets[k] + i - s.next_offsets[k]];
+  });
+  ctx.barrier();
+  if (ctx.tid() == 0) offsets.swap(s.next_offsets);
+  ctx.barrier();
+}
 
 }  // namespace smp::core::detail

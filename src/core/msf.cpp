@@ -43,28 +43,10 @@ std::string_view to_string(Algorithm a) {
   return "?";
 }
 
-std::string_view to_string(DeferredCompactMode m) {
-  switch (m) {
-    case DeferredCompactMode::kAuto:
-      return "auto";
-    case DeferredCompactMode::kOn:
-      return "on";
-    case DeferredCompactMode::kOff:
-      return "off";
-  }
-  return "?";
-}
-
 std::string_view to_string(CompactStrategy s) {
   switch (s) {
     case CompactStrategy::kEager:
       return "eager";
-    case CompactStrategy::kDefer:
-      return "defer";
-    case CompactStrategy::kHash:
-      return "hash";
-    case CompactStrategy::kSort:
-      return "sort";
     case CompactStrategy::kMerge:
       return "merge";
     case CompactStrategy::kPointer:
@@ -148,6 +130,7 @@ graph::MsfResult dispatch_parallel(ThreadTeam& team, const graph::EdgeList& g,
     case Algorithm::kBorALM:
       return bor_alm_msf(team, g, opts);
     case Algorithm::kBorFAL:
+    case Algorithm::kChampion:
       return bor_fal_msf(team, g, opts);
     case Algorithm::kMstBC:
       return mst_bc_msf(team, g, opts);
@@ -159,8 +142,6 @@ graph::MsfResult dispatch_parallel(ThreadTeam& team, const graph::EdgeList& g,
       return sample_filter_msf(team, g, opts.seed);
     case Algorithm::kBorUF:
       return bor_uf_msf(team, g);
-    case Algorithm::kChampion:
-      return champion_msf(team, g, opts);
     default:
       throw Error(ErrorCode::kInvalidInput, "unreachable algorithm dispatch");
   }

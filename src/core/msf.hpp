@@ -6,7 +6,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/dir_edge.hpp"
 #include "core/error.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/msf_result.hpp"
@@ -15,9 +14,12 @@
 namespace smp::core {
 
 /// The algorithms of the paper.  kBorEL/kBorAL/kBorALM/kBorFAL are the four
-/// parallel Borůvka variants of §2; kMstBC is the new Prim/Borůvka hybrid of
-/// §4; the kSeq* entries are the sequential baselines of §5.2 routed through
-/// the same interface.
+/// parallel Borůvka variants of §2, each run in its paper form: Bor-EL
+/// rebuilds its edge list every iteration, Bor-AL/ALM rebuild their
+/// adjacency arrays by k-way merge, Bor-FAL contracts by pointer and never
+/// rebuilds.  kMstBC is the new Prim/Borůvka hybrid of §4; Bor-EL and MST-BC
+/// share one contraction kernel (core/detail.hpp).  The kSeq* entries are
+/// the sequential baselines of §5.2 routed through the same interface.
 enum class Algorithm {
   kBorEL,
   kBorAL,
@@ -32,8 +34,8 @@ enum class Algorithm {
   kFilterKruskal,  ///< cycle-property filtering (§3's hinted approach)
   kSampleFilter,   ///< Cole–Klein–Tarjan random sampling + filtering
   kBorUF,          ///< Borůvka over a lock-free union-find (GBBS/Galois style)
-  kChampion,       ///< auto-tuned pipeline: Bor-FAL by default, deferred
-                   ///< edge-list compaction on request (see champion_msf)
+  kChampion,       ///< the library default; runs the Bor-FAL engine, the
+                   ///< fastest on every BENCH_07 row
 };
 
 [[nodiscard]] std::string_view to_string(Algorithm a);
@@ -64,27 +66,11 @@ enum class FindMinMode { kAuto, kScan, kSimd };
 
 [[nodiscard]] std::string_view to_string(FindMinMode m);
 
-/// Whether the edge-list variants defer compact-graph behind live-prefix
-/// watermarks (Bor-FAL's filter-on-the-fly ported to Bor-EL/AL/ALM): dead
-/// arcs are dropped during the find-min scan and the full dedup/relabel only
-/// runs when the live-edge fraction sinks below the compact_live_threshold.
-/// kAuto enables deferral whenever the packed find-min path is available
-/// (the watermark scan needs the uint64 ⟨rank, payload⟩ keys); kOff pins the
-/// paper's eager compact-every-iteration behaviour for A/B benches.  Both
-/// settings produce bit-identical forests.
-enum class DeferredCompactMode { kAuto, kOn, kOff };
-
-[[nodiscard]] std::string_view to_string(DeferredCompactMode m);
-
-/// What an iteration's compact-graph step actually did — recorded per
-/// iteration in IterationStat and counted in PhaseStats so BENCH_07 can
-/// explain *why* the champion picked each path.
+/// What an iteration's compact-graph step did — recorded per iteration in
+/// IterationStat, so a Table 1 trace shows how each variant contracts.
 enum class CompactStrategy {
-  kEager,  ///< eager per-iteration sort compact (paper reference path)
-  kDefer,  ///< deferred: labels composed in place, no arc-array rebuild
-  kHash,   ///< full compact via the radix hash-map dedup
-  kSort,   ///< full compact via radix/sample sort
-  kMerge,  ///< Bor-AL/ALM k-way-merge adjacency rebuild
+  kEager,    ///< Bor-EL/MST-BC: the shared scatter + per-row dedup rebuild
+  kMerge,    ///< Bor-AL/ALM k-way-merge adjacency rebuild
   kPointer,  ///< Bor-FAL pointer contraction (never rebuilds arc storage)
 };
 
@@ -97,10 +83,9 @@ struct StepTimes {
   double connect = 0;
   double compact = 0;
   double other = 0;  ///< setup, result assembly, base-case solve (MST-BC)
-  /// Arcs permanently retired from a live-arc working set across all
-  /// iterations — Bor-FAL's prune as well as the deferred-compaction
-  /// watermark prunes of Bor-EL/AL/ALM and the champion (0 under
-  /// FindMinMode::kScan and for eager algorithms).
+  /// Arcs permanently retired from Bor-FAL's live-arc working set across all
+  /// iterations (0 under FindMinMode::kScan and for the algorithms that
+  /// rebuild their arc storage each iteration).
   std::uint64_t pruned_arcs = 0;
 
   [[nodiscard]] double total() const { return find_min + connect + compact + other; }
@@ -122,15 +107,6 @@ struct StepTimes {
 struct PhaseStats {
   std::uint64_t iterations = 0;  ///< Borůvka iterations / MST-BC rounds
   std::uint64_t regions = 0;     ///< SPMD regions started inside those iterations
-  // Compact-strategy accounting (deferred engines and the champion):
-  std::uint64_t deferred_iterations = 0;  ///< iterations that skipped the full compact
-  std::uint64_t hash_compacts = 0;   ///< full compacts resolved by hash dedup
-  std::uint64_t sort_compacts = 0;   ///< full compacts resolved by sorting
-  std::uint64_t merge_rebuilds = 0;  ///< Bor-AL/ALM k-way-merge rebuilds
-  // Radix hash-map probe statistics (see pprim/radix_hash_map.hpp):
-  std::uint64_t hash_keys = 0;         ///< elements inserted across all dedups
-  std::uint64_t hash_probe_steps = 0;  ///< probe advances past the home slot
-  std::uint64_t hash_max_probe = 0;    ///< longest single probe chain
 
   [[nodiscard]] double regions_per_iteration() const {
     return iterations == 0
@@ -141,14 +117,6 @@ struct PhaseStats {
   PhaseStats& operator+=(const PhaseStats& o) {
     iterations += o.iterations;
     regions += o.regions;
-    deferred_iterations += o.deferred_iterations;
-    hash_compacts += o.hash_compacts;
-    sort_compacts += o.sort_compacts;
-    merge_rebuilds += o.merge_rebuilds;
-    hash_keys += o.hash_keys;
-    hash_probe_steps += o.hash_probe_steps;
-    hash_max_probe = hash_max_probe > o.hash_max_probe ? hash_max_probe
-                                                       : o.hash_max_probe;
     return *this;
   }
 };
@@ -158,7 +126,7 @@ struct IterationStat {
   graph::VertexId vertices = 0;    ///< supervertices at iteration start
   graph::EdgeId directed_edges = 0;  ///< live directed edges (the "2m" column)
   /// Live arcs divided by arc-array size at iteration start (1.0 for the
-  /// eager paths, which rebuild the array every iteration).
+  /// paths that rebuild the array every iteration).
   double live_fraction = 1.0;
   /// What compact-graph did this iteration.
   CompactStrategy strategy = CompactStrategy::kEager;
@@ -178,20 +146,6 @@ struct MsfOptions {
   StepTimes* step_times = nullptr;
   std::vector<IterationStat>* iteration_stats = nullptr;
   PhaseStats* phase_stats = nullptr;
-  /// compact-graph sort dispatch for Bor-EL and the deferred edge-list engine
-  /// (kAuto = packed-key radix when possible; the champion's deferred engine
-  /// resolves kAuto to the hash dedup instead).  MST-BC ignores it: its
-  /// contraction deduplicates each rebuilt row without sorting.
-  CompactSortMode compact_sort = CompactSortMode::kAuto;
-  /// Deferred-compaction dispatch for Bor-EL/AL/ALM and the champion
-  /// (kAuto = deferred whenever the packed find-min path is available).
-  DeferredCompactMode deferred_compact = DeferredCompactMode::kAuto;
-  /// Live-edge fraction below which a deferred engine runs the full compact;
-  /// 0 keeps kDefaultCompactLiveThreshold (pprim/tuning.hpp).
-  double compact_live_threshold = 0;
-  /// Arcs per chunk of the deferred find-min scan (the watermark/ownership
-  /// granule); 0 keeps kDefaultDeferredChunkArcs.
-  std::size_t compact_chunk = 0;
   /// find-min scan dispatch (kAuto = packed-key SIMD path when possible).
   FindMinMode find_min = FindMinMode::kAuto;
   /// Find-min contention-cutoff overrides; 0 keeps the defaults in
@@ -288,16 +242,5 @@ graph::MsfResult mst_bc_msf(ThreadTeam& team, const graph::EdgeList& g,
 /// that the paper's algorithms are implicitly measured against.
 graph::MsfResult par_kruskal_msf(ThreadTeam& team, const graph::EdgeList& g,
                                  const MsfOptions& opts = {});
-
-/// The auto-tuned champion pipeline (the `solve` default).  It runs the
-/// Bor-FAL engine, whose vertex-parallel find-min beats every edge-list
-/// engine on the measured inputs.  Only when the caller asks for deferral
-/// (DeferredCompactMode::kOn or an explicit compact_live_threshold) and the
-/// packed find-min path is available does it run Bor-EL's edge list under
-/// deferred compaction instead, choosing per iteration between deferring
-/// (label composition only), the radix hash-map dedup, and a sort compact.
-/// Forests are bit-identical to every other variant.
-graph::MsfResult champion_msf(ThreadTeam& team, const graph::EdgeList& g,
-                              const MsfOptions& opts = {});
 
 }  // namespace smp::core

@@ -15,7 +15,6 @@
 #include "pprim/fault.hpp"
 #include "pprim/parallel_for.hpp"
 #include "pprim/permutation.hpp"
-#include "pprim/prefix_sum.hpp"
 #include "pprim/rng.hpp"
 #include "pprim/timer.hpp"
 #include "seq/indexed_heap.hpp"
@@ -51,79 +50,6 @@ struct BcGraph {
   };
   std::vector<Arc> arcs;
 };
-
-/// Team-shared scratch for the CSR builds (grow-only across contraction
-/// rounds — arc counts only shrink).
-struct RebuildScratch {
-  /// Last row of this round that saw a target, and the target's slot there.
-  struct Stamp { VertexId row, slot; };
-  explicit RebuildScratch(int p) : seen(static_cast<std::size_t>(p)) {}
-
-  BucketScatterScratch scatter;
-  std::vector<EdgeId> bucket_offsets;
-  std::vector<BcGraph::Arc> buckets;  // relabelled arcs grouped by new source
-  std::vector<EdgeId> next_offsets;   // deduplicated row lengths, then the CSR
-  std::vector<Padded<std::vector<Stamp>>> seen;  // one table per thread
-  std::atomic<std::size_t> dedup_cursor{0};
-};
-
-/// Rows handed out per grab of the dynamic dedup pass.
-constexpr std::size_t kRowChunk = 64;
-
-/// step 5: relabel through `labels`, drop self-loops, keep only the lightest
-/// multi-edge per supervertex pair, and rebuild the CSR for the next round.
-/// The surviving arcs are scattered straight into their new source's row;
-/// each row then keeps its WeightOrder-minimal arc per target (a per-thread
-/// stamp table finds the target's slot, so the row compacts in place in
-/// O(row length) with no sort), and a prefix over the kept lengths plus a
-/// gather yields the next CSR.  In-region, identical arguments on all threads.
-void contract_rebuild_in_region(TeamCtx& ctx, BcGraph& cur,
-                                std::span<const VertexId> labels, VertexId next_n,
-                                RebuildScratch& s) {
-  bucket_scatter_in_region(ctx, next_n, [&](auto&& put) {
-    for_csr_block(ctx, cur.offsets, [&](std::size_t v, std::size_t a) {
-      const auto& arc = cur.arcs[a];
-      const VertexId lt = labels[arc.target];
-      if (labels[v] != lt) put(labels[v], {lt, arc.w, arc.orig});
-    });
-  }, s.bucket_offsets, s.buckets, s.scatter);
-  if (ctx.tid() == 0) {
-    s.next_offsets.resize(static_cast<std::size_t>(next_n) + 1);
-    s.next_offsets[next_n] = 0;
-    s.dedup_cursor.store(0, std::memory_order_relaxed);
-  }
-  auto& seen = s.seen[static_cast<std::size_t>(ctx.tid())].value;
-  seen.assign(next_n, {kInvalidVertex, 0});
-  ctx.barrier();
-  for_range_dynamic(ctx, s.dedup_cursor, next_n, kRowChunk, [&](std::size_t k) {
-    const EdgeId lo = s.bucket_offsets[k];
-    VertexId kept = 0;
-    for (EdgeId i = lo; i < s.bucket_offsets[k + 1]; ++i) {
-      const BcGraph::Arc arc = s.buckets[i];
-      auto& st = seen[arc.target];
-      if (st.row != k) {
-        st = {static_cast<VertexId>(k), kept};
-        s.buckets[lo + kept++] = arc;
-      } else if (arc.order() < s.buckets[lo + st.slot].order()) {
-        s.buckets[lo + st.slot] = arc;
-      }
-    }
-    s.next_offsets[k] = kept;
-  });
-  ctx.barrier();
-  const EdgeId total =
-      prefix_sum_in_region(ctx, std::span<EdgeId>(s.next_offsets), s.scatter.scan);
-  if (ctx.tid() == 0) cur.arcs.resize(total);
-  ctx.barrier();
-  for_csr_block(ctx, s.next_offsets, [&](std::size_t k, std::size_t i) {
-    cur.arcs[i] = s.buckets[s.bucket_offsets[k] + i - s.next_offsets[k]];
-  });
-  ctx.barrier();
-  if (ctx.tid() == 0) {
-    cur.n = next_n;
-    cur.offsets.swap(s.next_offsets);
-  }
-}
 
 /// Heap key of a fringe vertex: its best known connecting edge.
 struct BcKey {
@@ -182,7 +108,7 @@ MsfResult mst_bc_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
   // Round 0: both directions of every input edge, bucketed by source.
   BcGraph cur;
   cur.n = g.num_vertices;
-  RebuildScratch rebuild_scratch(p);
+  detail::ContractScratch<BcGraph::Arc> contract_scratch(p);
   team.run([&](TeamCtx& ctx) {
     bucket_scatter_in_region(ctx, cur.n, [&](auto&& put) {
       for_range(ctx, g.edges.size(), [&](std::size_t i) {
@@ -190,7 +116,7 @@ MsfResult mst_bc_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
         put(e.u, {e.v, e.w, i});
         put(e.v, {e.u, e.w, i});
       });
-    }, cur.offsets, cur.arcs, rebuild_scratch.scatter);
+    }, cur.offsets, cur.arcs, contract_scratch.scatter);
   });
   detail::EdgeCollector collector(team.size());
   std::atomic<std::uint64_t> color_counter{1};
@@ -373,10 +299,19 @@ MsfResult mst_bc_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opts
         fault_point("mst-bc.compact");
       }
       fault_point("mst-bc.compact.region");
-      contract_rebuild_in_region(ctx, cur,
-                                 std::span<const VertexId>(parent.data(), n),
-                                 next_n, rebuild_scratch);
-      if (ctx.tid() == 0) st.compact += t0.elapsed_s();
+      // step 5: relabel, drop self-loops, keep the lightest multi-edge per
+      // supervertex pair, and rebuild the CSR for the next round.
+      detail::contract_in_region(ctx, next_n, [&](auto&& put) {
+        for_csr_block(ctx, cur.offsets, [&](std::size_t v, std::size_t a) {
+          const auto& arc = cur.arcs[a];
+          const VertexId lt = parent[arc.target];
+          if (parent[v] != lt) put(parent[v], {lt, arc.w, arc.orig});
+        });
+      }, cur.offsets, cur.arcs, contract_scratch);
+      if (ctx.tid() == 0) {
+        cur.n = next_n;
+        st.compact += t0.elapsed_s();
+      }
     });
 
     if (opts.phase_stats) {

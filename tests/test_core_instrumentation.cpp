@@ -38,20 +38,11 @@ TEST(IterationStats, VerticesAtLeastHalvePerIteration) {
 
 TEST(IterationStats, EdgeListShrinksForELGrowsNeverForFAL) {
   const EdgeList g = random_graph(3000, 12000, 4);
-  std::vector<core::IterationStat> el_stats, el_defer_stats, fal_stats,
-      fal_scan_stats;
+  std::vector<core::IterationStat> el_stats, fal_stats, fal_scan_stats;
   {
-    // Eager compact-graph: the historical Bor-EL loop, opted out of deferral.
     core::MsfOptions opts;
     opts.algorithm = core::Algorithm::kBorEL;
-    opts.deferred_compact = core::DeferredCompactMode::kOff;
     opts.iteration_stats = &el_stats;
-    (void)core::minimum_spanning_forest(g, opts);
-  }
-  {
-    core::MsfOptions opts;
-    opts.algorithm = core::Algorithm::kBorEL;
-    opts.iteration_stats = &el_defer_stats;
     (void)core::minimum_spanning_forest(g, opts);
   }
   {
@@ -73,18 +64,6 @@ TEST(IterationStats, EdgeListShrinksForELGrowsNeverForFAL) {
     EXPECT_LT(el_stats[i].directed_edges, el_stats[i - 1].directed_edges)
         << "eager Bor-EL compacts edges every iteration";
     EXPECT_EQ(el_stats[i].strategy, core::CompactStrategy::kEager);
-  }
-  // Deferred Bor-EL (the packed-path default) reports the live-arc working
-  // set: it starts at 2m, never grows, and may stay flat across deferred
-  // iterations instead of shrinking every time.
-  ASSERT_GE(el_defer_stats.size(), 2u);
-  EXPECT_EQ(el_defer_stats[0].directed_edges, 2 * g.num_edges());
-  for (std::size_t i = 1; i < el_defer_stats.size(); ++i) {
-    EXPECT_LE(el_defer_stats[i].directed_edges,
-              el_defer_stats[i - 1].directed_edges)
-        << "deferred live-arc working set is monotone non-increasing";
-    EXPECT_LE(el_defer_stats[i].live_fraction, 1.0);
-    EXPECT_GE(el_defer_stats[i].live_fraction, 0.0);
   }
   // Bor-FAL never physically removes edges; the default packed-key path
   // reports its live-arc working set, which starts at 2m and only shrinks.
@@ -176,30 +155,36 @@ TEST(PhaseStats, MstBcRoundsStayWithinRegionBudget) {
   EXPECT_LE(ps.regions_per_iteration(), 4.0);
 }
 
-TEST(CompactSortMode, RadixSampleAndHashProduceIdenticalForests) {
-  // The packed-key radix path, the comparator sample path, and the radix
-  // hash-map dedup must yield the same deduplicated graph, hence the same
-  // forest, on every algorithm whose compact step reads compact_sort
-  // (MST-BC's contraction dedups per row and ignores the knob).
-  const EdgeList g = random_graph(4000, 16000, 23);
-  for (const auto alg : {core::Algorithm::kBorEL, core::Algorithm::kChampion}) {
+TEST(IterationStats, StrategyNamesEachVariantsCompactPath) {
+  // Every iteration records how its variant contracted: Bor-EL and MST-BC
+  // through the shared scatter + dedup kernel, Bor-AL/ALM by k-way merge,
+  // Bor-FAL (and the champion, which runs it) by pointer.
+  const EdgeList g = random_graph(8000, 32000, 914);
+  const struct {
+    core::Algorithm alg;
+    core::CompactStrategy want;
+  } cases[] = {
+      {core::Algorithm::kBorEL, core::CompactStrategy::kEager},
+      {core::Algorithm::kMstBC, core::CompactStrategy::kEager},
+      {core::Algorithm::kBorAL, core::CompactStrategy::kMerge},
+      {core::Algorithm::kBorALM, core::CompactStrategy::kMerge},
+      {core::Algorithm::kBorFAL, core::CompactStrategy::kPointer},
+      {core::Algorithm::kChampion, core::CompactStrategy::kPointer},
+  };
+  for (const auto& c : cases) {
+    std::vector<core::IterationStat> stats;
     core::MsfOptions opts;
-    opts.algorithm = alg;
+    opts.algorithm = c.alg;
     opts.threads = 4;
-    opts.compact_sort = core::CompactSortMode::kRadix;
-    const auto radix = core::minimum_spanning_forest(g, opts);
-    opts.compact_sort = core::CompactSortMode::kSample;
-    const auto sample = core::minimum_spanning_forest(g, opts);
-    opts.compact_sort = core::CompactSortMode::kHash;
-    const auto hash = core::minimum_spanning_forest(g, opts);
-    EXPECT_EQ(test::sorted_ids(radix), test::sorted_ids(sample))
-        << core::to_string(alg);
-    EXPECT_EQ(test::sorted_ids(radix), test::sorted_ids(hash))
-        << core::to_string(alg);
-    EXPECT_DOUBLE_EQ(radix.total_weight, sample.total_weight)
-        << core::to_string(alg);
-    EXPECT_DOUBLE_EQ(radix.total_weight, hash.total_weight)
-        << core::to_string(alg);
+    opts.bc_base_size = 32;  // keep MST-BC in its parallel phase
+    opts.iteration_stats = &stats;
+    (void)core::minimum_spanning_forest(g, opts);
+    ASSERT_FALSE(stats.empty()) << core::to_string(c.alg);
+    for (const auto& s : stats) {
+      EXPECT_EQ(s.strategy, c.want) << core::to_string(c.alg);
+      EXPECT_GE(s.live_fraction, 0.0);
+      EXPECT_LE(s.live_fraction, 1.0);
+    }
   }
 }
 

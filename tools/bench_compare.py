@@ -13,8 +13,9 @@ fig2 family (baseline has per-algorithm timing records — BENCH_07):
   * A Bor-FAL record claims the packed-key kernel ("simd") but reports zero
     pruned arcs — live-arc pruning silently stopped working.
   * Bor-EL's compact-graph share of its own total exceeds
-    --max-el-compact-share (default 60%): deferred compaction broke and the
-    pre-PR-7 compact-graph wall (~85% of total at density 10) is back.
+    --max-el-compact-share (default 60%): Bor-EL's eager contraction kernel
+    (the scatter + per-row dedup it shares with MST-BC) regressed, and the
+    sort-based compact-graph wall (~85% of total at density 10) is back.
   * The champion pipeline's total exceeds the best paper variant's total on
     the same graph by more than --champion-tolerance (default 10%) plus an
     absolute slack: the auto-tuner is picking losing strategies.

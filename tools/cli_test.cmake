@@ -11,6 +11,19 @@ function(run_cli expect_rc out_var)
   set(${out_var} "${out}" PARENT_SCOPE)
 endfunction()
 
+# A usage error (exit 2) whose message names the offending flag.
+function(expect_usage_error flag)
+  execute_process(COMMAND ${CLI} ${ARGN}
+                  OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "smpmsf ${ARGN} exited ${rc} (want 2): ${out}${err}")
+  endif()
+  string(FIND "${err}" "${flag}" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "smpmsf ${ARGN}: usage error does not name ${flag}: ${err}")
+  endif()
+endfunction()
+
 run_cli(0 out gen --type random --n 5000 --m 20000 --seed 7 -o ${WORK}/g.gr)
 run_cli(0 out info ${WORK}/g.gr)
 string(FIND "${out}" "vertices: 5000" pos)
@@ -42,10 +55,8 @@ run_cli(0 out solve --alg filter-kruskal --validate ${WORK}/g.gr)
 # Execution-budget flags: a generous timeout still solves; degradation under
 # a tiny memory cap still yields a valid forest (and says so).
 run_cli(0 out solve --alg bor-el --threads 4 --timeout 600 --validate ${WORK}/g.gr)
-# The aggressive live threshold forces an early full rebuild so the deferred
-# default still draws on the (capped) arenas.
 run_cli(0 out solve --alg bor-alm --threads 4 --mem-cap 8192
-        --compact-live-threshold 0.99 --validate ${WORK}/g.gr)
+        --validate ${WORK}/g.gr)
 string(FIND "${out}" "degraded to sequential" pos)
 if(pos EQUAL -1)
   message(FATAL_ERROR "mem-cap solve did not report degradation: ${out}")
@@ -80,9 +91,20 @@ run_cli(2 out solve --mode dynamic ${WORK}/g.gr)  # missing --update-trace: usag
 run_cli(2 out bogus-command)
 run_cli(5 out solve --alg bor-fal --threads 4 --timeout 0 ${WORK}/g.gr)
 run_cli(6 out solve --alg bor-alm --threads 4 --mem-cap 8192
-        --compact-live-threshold 0.99 --no-fallback ${WORK}/g.gr)
+        --no-fallback ${WORK}/g.gr)
 # A trace deleting a dead edge is invalid input: the graph is simple after
 # canonicalized load, so the second delete of {1,2} must fail whether or not
 # the pair existed initially.
 file(WRITE ${WORK}/bad_trace.txt "d 1 2\nd 1 2\n")
 run_cli(3 out solve --mode dynamic --update-trace ${WORK}/bad_trace.txt ${WORK}/g.gr)
+
+# Flags the command does not know are usage errors, never silently ignored —
+# including the retired compaction knobs, whose behaviour no longer exists.
+expect_usage_error(--bogus-flag solve --bogus-flag 3 ${WORK}/g.gr)
+expect_usage_error(--deferred-compact solve --deferred-compact off ${WORK}/g.gr)
+expect_usage_error(--compact-sort solve --compact-sort radix ${WORK}/g.gr)
+expect_usage_error(--validate gen --type random --n 10 --m 20 --validate -o ${WORK}/x.gr)
+# Numeric values must parse whole: no trailing garbage, no empty value.
+expect_usage_error(--threads solve --threads 2x ${WORK}/g.gr)
+expect_usage_error(--threads solve --threads abc ${WORK}/g.gr)
+expect_usage_error(--timeout solve --timeout banana ${WORK}/g.gr)

@@ -8,11 +8,8 @@
 //                [--stats-json FILE] [--find-min auto|scan|simd]
 //                [--find-min-local-best-threads N]
 //                [--find-min-local-best-cutoff N] [--find-min-prune-block N]
-//                [--compact-sort auto|radix|sample|hash]
-//                [--deferred-compact auto|on|off]
-//                [--compact-live-threshold X] [--compact-chunk N]
 //                [--mode static|dynamic] [--batch-size N] [--update-trace FILE]
-//                FILE
+//                [--graph-format auto|edges|compressed] [--auto-tune] FILE
 //   smpmsf cc [--threads P] FILE
 //
 // Graph types: random (needs --m), mesh2d, mesh2d60, mesh3d40,
@@ -28,19 +25,24 @@
 //   d <u> <v>             delete the canonical (lightest, then oldest) live
 //                         edge with these endpoints
 //
-// Flags accept both "--key value" and "--key=value".  Unknown --alg /
-// --mode / --find-min / trace operations are invalid input (exit 3), with
-// the accepted values listed.
+// Flags accept both "--key value" and "--key=value".  A flag the command
+// does not know, or a numeric flag whose value is not a whole number, is a
+// usage error (exit 2) naming the flag.  Unknown --alg / --mode / --find-min
+// / trace operations are invalid input (exit 3), with the accepted values
+// listed.
 //
 // Exit codes: 0 success, 1 runtime/validation failure, 2 usage, then one per
 // smp::ErrorCode class — 3 invalid input, 4 cancelled, 5 deadline exceeded,
 // 6 out of memory.
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <cmath>
 #include <fstream>
+#include <initializer_list>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -85,9 +87,6 @@ using namespace smp::graph;
                "               [--find-min auto|scan|simd]"
                " [--find-min-local-best-threads N]"
                " [--find-min-local-best-cutoff N] [--find-min-prune-block N]\n"
-               "               [--compact-sort auto|radix|sample|hash]"
-               " [--deferred-compact auto|on|off]"
-               " [--compact-live-threshold X] [--compact-chunk N]\n"
                "               [--mode static|dynamic] [--batch-size N]"
                " [--update-trace FILE]\n"
                "               [--graph-format auto|edges|compressed]"
@@ -151,25 +150,6 @@ core::FindMinMode parse_find_min(const std::string& s) {
                    "unknown find-min mode '" + s + "' (valid: auto scan simd)");
 }
 
-core::CompactSortMode parse_compact_sort(const std::string& s) {
-  if (s == "auto") return core::CompactSortMode::kAuto;
-  if (s == "radix") return core::CompactSortMode::kRadix;
-  if (s == "sample") return core::CompactSortMode::kSample;
-  if (s == "hash") return core::CompactSortMode::kHash;
-  throw smp::Error(
-      smp::ErrorCode::kInvalidInput,
-      "unknown compact-sort mode '" + s + "' (valid: auto radix sample hash)");
-}
-
-core::DeferredCompactMode parse_deferred_compact(const std::string& s) {
-  if (s == "auto") return core::DeferredCompactMode::kAuto;
-  if (s == "on") return core::DeferredCompactMode::kOn;
-  if (s == "off") return core::DeferredCompactMode::kOff;
-  throw smp::Error(smp::ErrorCode::kInvalidInput,
-                   "unknown deferred-compact mode '" + s +
-                       "' (valid: auto on off)");
-}
-
 bool ends_with(const std::string& s, const char* suffix) {
   const std::size_t n = std::strlen(suffix);
   return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
@@ -212,14 +192,44 @@ struct Flags {
     }
     return false;
   }
+  /// Non-negative integer value of `key`; the whole value must parse.
   [[nodiscard]] std::uint64_t num(const char* key, std::uint64_t fallback) const {
     const auto v = get(key);
-    return v ? std::strtoull(v->c_str(), nullptr, 10) : fallback;
+    if (!v) return fallback;
+    char* end = nullptr;
+    errno = 0;
+    const std::uint64_t x = std::strtoull(v->c_str(), &end, 10);
+    // strtoull skips leading blanks and wraps a leading '-'; reject both.
+    if (v->empty() || !std::isdigit(static_cast<unsigned char>((*v)[0])) ||
+        *end != '\0' || errno == ERANGE) {
+      usage((std::string(key) + " needs a whole number, got '" + *v + "'").c_str());
+    }
+    return x;
   }
+  /// Real value of `key`; the whole value must parse.
   [[nodiscard]] std::optional<double> real(const char* key) const {
     const auto v = get(key);
     if (!v) return std::nullopt;
-    return std::strtod(v->c_str(), nullptr);
+    char* end = nullptr;
+    const double x = std::strtod(v->c_str(), &end);
+    if (v->empty() || std::isspace(static_cast<unsigned char>((*v)[0])) ||
+        *end != '\0' || std::isnan(x)) {
+      usage((std::string(key) + " needs a number, got '" + *v + "'").c_str());
+    }
+    return x;
+  }
+  /// Usage error (exit 2) for any flag or switch not in `known`.
+  void allow(std::initializer_list<const char*> known) const {
+    const auto is_known = [&](const std::string& name) {
+      return std::any_of(known.begin(), known.end(),
+                         [&](const char* k) { return name == k; });
+    };
+    for (const auto& [k, v] : kv) {
+      if (!is_known(k)) usage(("unknown flag " + k).c_str());
+    }
+    for (const auto& sw : switches) {
+      if (!is_known(sw)) usage(("unknown flag " + sw).c_str());
+    }
   }
 };
 
@@ -254,6 +264,7 @@ Flags parse(int argc, char** argv, int from) {
 }
 
 int cmd_gen(const Flags& f) {
+  f.allow({"--type", "--n", "--m", "--k", "--seed", "--out"});
   const auto type = f.get("--type");
   const auto out = f.get("--out");
   if (!type || !out) usage("gen needs --type and -o");
@@ -294,6 +305,7 @@ int cmd_gen(const Flags& f) {
 }
 
 int cmd_info(const Flags& f) {
+  f.allow({});
   if (f.positional.size() != 1) usage("info needs exactly one FILE");
   if (ends_with(f.positional[0], ".smpz")) {
     const CompressedCsr c = CompressedCsr::open_file(f.positional[0]);
@@ -316,6 +328,7 @@ int cmd_info(const Flags& f) {
 }
 
 int cmd_convert(const Flags& f) {
+  f.allow({});
   if (f.positional.size() != 2) usage("convert needs IN and OUT");
   store(f.positional[1], load(f.positional[0]));
   std::printf("converted %s -> %s\n", f.positional[0].c_str(), f.positional[1].c_str());
@@ -507,28 +520,6 @@ void write_stats_json(const std::string& path, const std::string& alg,
                 static_cast<unsigned long long>(pstats.regions),
                 pstats.regions_per_iteration());
   os << buf;
-  // Compact-graph strategy mix (deferred-compaction engines only; all-zero
-  // for eager algorithms) plus the radix hash-map's probe statistics.
-  std::snprintf(buf, sizeof buf,
-                ", \"compact\": {\"deferred_iterations\": %llu"
-                ", \"hash_compacts\": %llu, \"sort_compacts\": %llu"
-                ", \"merge_rebuilds\": %llu",
-                static_cast<unsigned long long>(pstats.deferred_iterations),
-                static_cast<unsigned long long>(pstats.hash_compacts),
-                static_cast<unsigned long long>(pstats.sort_compacts),
-                static_cast<unsigned long long>(pstats.merge_rebuilds));
-  os << buf;
-  std::snprintf(
-      buf, sizeof buf,
-      ", \"hash\": {\"keys\": %llu, \"probe_steps\": %llu"
-      ", \"max_probe\": %llu, \"probe_steps_per_key\": %.3f}}",
-      static_cast<unsigned long long>(pstats.hash_keys),
-      static_cast<unsigned long long>(pstats.hash_probe_steps),
-      static_cast<unsigned long long>(pstats.hash_max_probe),
-      pstats.hash_keys != 0 ? static_cast<double>(pstats.hash_probe_steps) /
-                                  static_cast<double>(pstats.hash_keys)
-                            : 0.0);
-  os << buf;
   std::snprintf(buf, sizeof buf,
                 ", \"step_times\": {\"find_min\": %.6f, \"connect\": %.6f"
                 ", \"compact\": %.6f, \"other\": %.6f, \"total\": %.6f}",
@@ -544,6 +535,11 @@ void write_stats_json(const std::string& path, const std::string& alg,
 }
 
 int cmd_solve(const Flags& f) {
+  f.allow({"--alg", "--threads", "--seed", "--timeout", "--mem-cap",
+           "--no-fallback", "--validate", "--steps", "--stats-json",
+           "--find-min", "--find-min-local-best-threads",
+           "--find-min-local-best-cutoff", "--find-min-prune-block", "--mode",
+           "--batch-size", "--update-trace", "--graph-format", "--auto-tune"});
   if (f.positional.size() != 1) usage("solve needs exactly one FILE");
   const std::string& file = f.positional[0];
   // --graph-format: how the solver sees the graph.  "compressed" keeps (or
@@ -582,27 +578,14 @@ int cmd_solve(const Flags& f) {
       static_cast<std::size_t>(f.num("--find-min-local-best-cutoff", 0));
   opts.find_min_prune_block =
       static_cast<std::size_t>(f.num("--find-min-prune-block", 0));
-  opts.compact_sort = parse_compact_sort(f.get("--compact-sort").value_or("auto"));
-  opts.deferred_compact =
-      parse_deferred_compact(f.get("--deferred-compact").value_or("auto"));
-  if (const auto thr = f.real("--compact-live-threshold")) {
-    if (*thr <= 0 || *thr > 1) {
-      throw smp::Error(smp::ErrorCode::kInvalidInput,
-                       "--compact-live-threshold must be in (0, 1]");
-    }
-    opts.compact_live_threshold = *thr;
-  }
-  opts.compact_chunk = static_cast<std::size_t>(f.num("--compact-chunk", 0));
 
   // --auto-tune: measure this machine's crossover points and install them as
   // the process-global cutoffs before solving (see pprim/machine.hpp).
   if (f.has("--auto-tune")) {
     const auto cal = smp::auto_calibrate();
-    std::printf(
-        "auto-tune: parallel-for cutoff %zu, sample-sort cutoff %zu,"
-        " hash-seq cutoff %zu (%.3fs)\n",
-        cal.parallel_for_cutoff, cal.sample_sort_cutoff,
-        cal.compact_hash_seq_cutoff, cal.elapsed_s);
+    std::printf("auto-tune: parallel-for cutoff %zu, sample-sort cutoff %zu"
+                " (%.3fs)\n",
+                cal.parallel_for_cutoff, cal.sample_sort_cutoff, cal.elapsed_s);
   }
 
   // Asking for more threads than the machine has is legal (the paper's
@@ -698,6 +681,7 @@ int cmd_solve(const Flags& f) {
 }
 
 int cmd_cc(const Flags& f) {
+  f.allow({"--threads"});
   if (f.positional.size() != 1) usage("cc needs exactly one FILE");
   const EdgeList g = load(f.positional[0]);
   const int threads = static_cast<int>(f.num("--threads", 1));
