@@ -13,7 +13,6 @@
 #include "pprim/cacheline.hpp"
 #include "pprim/fault.hpp"
 #include "pprim/parallel_for.hpp"
-#include "pprim/simd.hpp"
 #include "pprim/timer.hpp"
 
 namespace smp::core {
@@ -34,18 +33,23 @@ using graph::WeightOrder;
 /// filtering self-loops and multi-edges through the lookup table.
 ///
 /// The packed-key path (FindMinMode::kSimd, the kAuto default) removes that
-/// rescan tax with the shared find-min layer (core/find_min.hpp): each arc
-/// slot holds a uint64 ⟨weight-rank, arc⟩ key; find-min walks each original
-/// vertex's *live* prefix, block-compacting keys whose target now shares the
-/// vertex's supervertex (a permanent self-loop — contraction only merges),
-/// runs the SIMD u64_argmin over what survives, and publishes ONE
-/// atomic_min_u64 per original vertex instead of one two-word CAS per arc.
-/// When the team is large and cur_n small, the publish switches to
-/// per-thread local-best slabs merged in-region (contention-aware
-/// reduction).  Iteration k therefore scans Σ live_k arcs, not 2m, and the
-/// selected arcs are identical to the seed scan — WeightOrder is encoded in
-/// the key order — so forests stay bit-identical.  FindMinMode::kScan keeps
-/// the seed kernel exactly, as the A/B baseline.
+/// rescan tax with the shared find-min layer (core/find_min.hpp).  Setup
+/// sorts the edges once by WeightOrder (build_rank_order) and packs each
+/// original vertex's arcs as uint64 ⟨weight-rank, target⟩ keys in rank
+/// order (build_packed_arcs), so every row ascends by key.  Find-min keeps
+/// a head pointer per original vertex (FlexAdjList::live_heads): it steps
+/// the head past leading arcs whose target now shares the vertex's
+/// supervertex (permanent self-loops — contraction only merges) and
+/// publishes the key at the head, the vertex's lightest live arc, with ONE
+/// atomic_min_u64 per original vertex.  Iteration 1 publishes each row's
+/// first key outright.  Every arc is stepped over at most once per solve,
+/// so an iteration costs O(n + arcs retired), not a scan of 2m (the paper)
+/// or of the live arcs.  When the team is large and cur_n small, the
+/// publish switches to per-thread local-best slabs merged in-region
+/// (contention-aware reduction).  The selected arcs are identical to the
+/// seed scan — WeightOrder is encoded in the key order — so forests stay
+/// bit-identical.  FindMinMode::kScan keeps the seed kernel exactly, as the
+/// A/B baseline.
 ///
 /// Each Borůvka iteration runs as ONE persistent SPMD region (find-min,
 /// connect-components, and the pointer-based contraction all synchronize via
@@ -114,17 +118,14 @@ std::vector<EdgeId> bor_fal_packed_engine(ThreadTeam& team,
       if (ctx.tid() == 0) fault_point("bor-fal.find-min.prune");
       std::uint64_t pruned = 0;
       if (first_iter) {
-        // Iteration 1 fast path: labels are still the identity and the
-        // input has no self-loops, so no arc can prune and slot x belongs
-        // to original vertex x alone — a pure streaming SIMD argmin per
-        // adjacency block, with plain stores instead of atomics and no
+        // Iteration 1: labels are still the identity and the input has no
+        // self-loops, so nothing can prune, slot x belongs to original
+        // vertex x alone, and x's rank-sorted row starts with its lightest
+        // arc — one plain store per vertex, no argmin, no atomics and no
         // separate sentinel-init pass.
         for_range_dynamic(ctx, scan_cursor, n, prune_block, [&](std::size_t x) {
-          const EdgeId lo = offsets[x];
-          const EdgeId end = offsets[x + 1];
-          best_keys[x] = end == lo
-                             ? kEmptyKey
-                             : keys[lo + u64_argmin(keys.get() + lo, end - lo)];
+          best_keys[x] = offsets[x + 1] == offsets[x] ? kEmptyKey
+                                                      : keys[offsets[x]];
         });
       } else {
         if (local_best_on) {
@@ -137,30 +138,22 @@ std::vector<EdgeId> bor_fal_packed_engine(ThreadTeam& team,
                     [&](std::size_t s) { best_keys[s] = kEmptyKey; });
         }
         ctx.barrier();
-        const auto live_end = fal.live_ends();
+        const auto head = fal.live_heads();
         std::uint64_t* mine =
             local_best_on ? local_best.slab(ctx.tid()) : nullptr;
-        // Per original vertex: compact newly dead arcs out of the live
-        // prefix, then one SIMD argmin over the survivors and a single
-        // publish into the owning supervertex's slot.  Dynamic chunks: live
-        // prefix lengths skew wildly after a few contractions.
+        // Per original vertex: step the head past the arcs that became
+        // supervertex self-loops (dead for good), then publish the arc at
+        // the head — the row is rank-sorted, so it is the vertex's lightest
+        // live arc.  Dynamic chunks: a few vertices step over long runs.
         for_range_dynamic(ctx, scan_cursor, n, prune_block, [&](std::size_t x) {
           const VertexId s = labels[x];
-          const EdgeId lo = offsets[x];
-          EdgeId end = live_end[x];
-          for (EdgeId i = lo; i < end;) {
-            if (labels[key_index(keys[i])] == s) {
-              --end;
-              std::swap(keys[i], keys[end]);
-              ++pruned;
-            } else {
-              ++i;
-            }
-          }
-          live_end[x] = end;
-          if (end == lo) return;
-          const std::uint64_t k =
-              keys[lo + u64_argmin(keys.get() + lo, end - lo)];
+          const EdgeId end = offsets[x + 1];
+          EdgeId h = head[x];
+          while (h < end && labels[key_index(keys[h])] == s) ++h;
+          pruned += h - head[x];
+          head[x] = h;
+          if (h == end) return;
+          const std::uint64_t k = keys[h];
           if (mine != nullptr) {
             if (k < mine[s]) mine[s] = k;
           } else {
@@ -254,9 +247,8 @@ MsfResult bor_fal_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opt
   if (mode == FindMinMode::kSimd) {
     PackedSolveInput in;
     in.n = n;
-    const std::vector<std::uint32_t> rank =
-        build_weight_ranks(team, g, &in.rank_to_edge);
-    build_packed_arcs(g, n, rank, in.offsets, in.keys);
+    in.rank_to_edge = build_rank_order(team, g);
+    build_packed_arcs(team, g, n, in.rank_to_edge, in.offsets, in.keys);
     st.other += phase.elapsed_s();
     std::vector<EdgeId> ids = bor_fal_packed_engine(team, std::move(in), opts, st);
     phase.reset();
@@ -268,8 +260,6 @@ MsfResult bor_fal_msf(ThreadTeam& team, const EdgeList& g, const MsfOptions& opt
 
   // Scan path (FindMinMode::kScan): the seed kernel, kept verbatim as the
   // A/B baseline — full CSR, all m edges checked every iteration.
-  const std::size_t prune_block = find_min_prune_block(opts);
-  (void)prune_block;
   const CsrGraph csr(g);
   const auto& offsets = csr.offsets();
   const EdgeId num_arcs = offsets.back();

@@ -19,9 +19,11 @@ struct PackedSolveInput {
   graph::VertexId n = 0;
   /// n + 1 arc offsets (both directions of every edge).
   std::vector<graph::EdgeId> offsets;
-  /// One ⟨weight-rank, target⟩ key per arc slot (see core/find_min.hpp).
+  /// One ⟨weight-rank, target⟩ key per arc slot (see core/find_min.hpp);
+  /// each vertex's row ascends by rank, which the engine's head-pointer
+  /// find-min relies on (build_packed_arcs guarantees it).
   std::unique_ptr<std::uint64_t[]> keys;
-  /// rank -> input edge id permutation from build_weight_ranks.
+  /// rank -> input edge id permutation from build_rank_order.
   std::vector<std::uint32_t> rank_to_edge;
 };
 

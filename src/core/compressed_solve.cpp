@@ -35,9 +35,10 @@ namespace {
   return resolve_find_min_mode(opts.find_min, m) == FindMinMode::kSimd;
 }
 
-/// Streaming solve: ranks from the flat weight section, packed arcs straight
-/// from the varint rows, and one final row walk to materialize just the
-/// forest edges (sorted-id two-pointer against the implicit edge-id order).
+/// Streaming solve: the rank order from the flat weight section, packed arcs
+/// straight from the varint rows, and one final row walk to materialize just
+/// the forest edges (sorted-id two-pointer against the implicit edge-id
+/// order).
 MsfResult solve_streaming(ThreadTeam& team, const CompressedCsr& g,
                           const MsfOptions& opts) {
   StepTimes st;
@@ -46,9 +47,9 @@ MsfResult solve_streaming(ThreadTeam& team, const CompressedCsr& g,
 
   PackedSolveInput in;
   in.n = g.num_vertices();
-  const std::vector<std::uint32_t> rank = build_weight_ranks(
-      team, std::span<const Weight>(g.weights(), m), &in.rank_to_edge);
-  build_packed_arcs(g, rank, in.offsets, in.keys);
+  in.rank_to_edge =
+      build_rank_order(team, std::span<const Weight>(g.weights(), m));
+  build_packed_arcs(team, g, in.rank_to_edge, in.offsets, in.keys);
   st.other += phase.elapsed_s();
 
   std::vector<EdgeId> ids = bor_fal_packed_engine(team, std::move(in), opts, st);

@@ -17,11 +17,13 @@ namespace smp::core {
 ///
 /// Dispatch: when the packed find-min path applies (m <= 2^31, mode not
 /// kScan) and the algorithm contracts via Bor-FAL (kBorFAL, or kChampion
-/// whose sparse-graph pick is Bor-FAL), the solve STREAMS: weight ranks come
-/// from the flat f64 section, the packed ⟨rank, target⟩ arcs are scattered
-/// straight out of the varint rows (build_packed_arcs over CompressedCsr),
-/// and result assembly is one more row walk — no EdgeList or CsrGraph is
-/// ever materialized, so peak memory stays ~20 B/edge past the graph itself.
+/// whose sparse-graph pick is Bor-FAL), the solve STREAMS: the rank order
+/// comes from the flat f64 section, the packed ⟨rank, target⟩ arcs are
+/// scattered straight out of the varint rows (build_packed_arcs over
+/// CompressedCsr), and result assembly is one more row walk — no EdgeList or
+/// CsrGraph is ever materialized, so peak memory stays about 28 B/edge past
+/// the graph itself (the pack: 16 B of keys, the 8 B rank-ordered
+/// endpoints, the 4 B rank order).
 /// Anything else (kScan A/B runs, the non-FAL algorithms, oversized m) falls
 /// back to eager decode_edge_list() + the standard dispatcher, trading
 /// memory for generality.

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -25,7 +26,7 @@ namespace smp::core {
 /// The packed-key scheme: a 64-bit weight cannot share a word with a 64-bit
 /// tie-break index, so instead of the weight itself each input edge carries
 /// its *weight rank* — its position in the WeightOrder-ascending order of
-/// all m edges (build_weight_ranks).  Ranks are unique (WeightOrder is a
+/// all m edges (build_rank_order).  Ranks are unique (WeightOrder is a
 /// total order: ties broken by input index), fit 32 bits for any packable
 /// graph, and compare exactly like ⟨weight, orig⟩.  A find-min key is then
 ///
@@ -38,12 +39,14 @@ namespace smp::core {
 /// same edge (its two directions) share a rank, which is what the
 /// mutual-minimum test in the connect step compares.  The payload is the
 /// algorithm's choice: Bor-EL packs the arc index; Bor-FAL packs the arc's
-/// *target vertex*, which removes the arc-array gather from its prune loop
-/// (labels[target] indexes a small cache-resident table) and recovers the
-/// input edge at selection time through the rank permutation
-/// (rank_to_edge).  The cross-thread race collapses from a two-word
-/// comparator CAS loop to atomic_min_u64, and the per-vertex inner scan
-/// becomes the branch-light u64_argmin SIMD kernel.
+/// *target vertex*, so its self-loop test is labels[target] (a small
+/// cache-resident table), and recovers the input edge at selection time
+/// through the rank order (rank_to_edge).  Bor-FAL's rows are packed in
+/// rank order, so every vertex's row ascends by key and its lightest live
+/// arc is the first one whose target lies in another supervertex — a head
+/// pointer per vertex replaces the per-iteration scan (see bor_fal.cpp).
+/// The cross-thread race collapses from a two-word comparator CAS loop to
+/// atomic_min_u64.
 
 /// Empty best-slot sentinel: all-ones loses every unsigned min for free.
 inline constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
@@ -98,40 +101,61 @@ inline constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
                                     : kFindMinPruneBlock;
 }
 
-/// rank[e] ∈ [0, m): position of input edge e under the WeightOrder total
-/// order.  Stable parallel LSD radix sort of an index permutation keyed by
-/// monotone_weight_bits — stability is what breaks weight ties by input
-/// index, completing the total order.  Fork-join (runs its own region); call
-/// during setup, not inside an open region.  If `rank_to_edge` is non-null
-/// it receives the inverse permutation ((*rank_to_edge)[r] = the input edge
-/// with rank r) — the sort materializes it anyway, so this is free.
-[[nodiscard]] std::vector<std::uint32_t> build_weight_ranks(
-    ThreadTeam& team, const graph::EdgeList& g,
-    std::vector<std::uint32_t>* rank_to_edge = nullptr);
+/// The WeightOrder-ascending order of the input edges: rank_to_edge[r] is
+/// the input edge with weight rank r.  One stable parallel LSD radix sort of
+/// exact 64-bit monotone_weight_bits keys with 13-bit digits (8 Ki buckets,
+/// so each thread's count slab stays in cache), skipping every digit that
+/// is constant across all keys; stability breaks weight ties by input
+/// index, completing the total order.  The same path serves every team
+/// size.  Fork-join (runs its own region); call during setup, not inside an
+/// open region.  This is all the packed solver needs: build_packed_arcs
+/// walks it in rank order, and find-min maps a winning rank back through it.
+[[nodiscard]] std::vector<std::uint32_t> build_rank_order(
+    ThreadTeam& team, const graph::EdgeList& g);
 
 /// Same sort over a flat weight array — the compressed-graph path, whose
 /// weights are already a contiguous f64 section, skips the AoS gather.
+[[nodiscard]] std::vector<std::uint32_t> build_rank_order(
+    ThreadTeam& team, std::span<const graph::Weight> weights);
+
+/// rank[e] ∈ [0, m): position of input edge e under the WeightOrder total
+/// order — build_rank_order plus a parallel inversion, for callers that
+/// look ranks up by edge (Bor-EL's key packing, the query index).
 [[nodiscard]] std::vector<std::uint32_t> build_weight_ranks(
-    ThreadTeam& team, std::span<const graph::Weight> weights,
-    std::vector<std::uint32_t>* rank_to_edge = nullptr);
+    ThreadTeam& team, const graph::EdgeList& g);
+[[nodiscard]] std::vector<std::uint32_t> build_weight_ranks(
+    ThreadTeam& team, std::span<const graph::Weight> weights);
 
 /// Packed-path adjacency build: n + 1 offsets plus one pre-packed
 /// ⟨rank, target⟩ key per directed arc, straight from the edge list.  This
 /// replaces a full CsrGraph for Bor-FAL's packed find-min — the key array
-/// IS the adjacency structure, so the target/weight/orig arc arrays (and
-/// the separate key-packing pass over them, with its random rank gathers —
-/// here rank[e] is a sequential read) are never materialized.
+/// IS the adjacency structure, so the target/weight/orig arc arrays are
+/// never materialized.  The team walks `rank_to_edge` in blocks and
+/// scatters both arcs of each edge into their source rows
+/// (bucket_scatter_in_region keeps block order within a row), so every
+/// vertex's row comes out sorted by rank, which is the order find-min's
+/// head pointer relies on.
+void build_packed_arcs(ThreadTeam& team, const graph::EdgeList& g,
+                       graph::VertexId n,
+                       std::span<const std::uint32_t> rank_to_edge,
+                       std::vector<graph::EdgeId>& offsets,
+                       std::unique_ptr<std::uint64_t[]>& keys);
+
+/// Team-less form taking `rank` (edge → rank, as build_weight_ranks
+/// returns) instead of its inverse: inverts it and runs the same pack on a
+/// one-thread team.  Rows and keys are identical to the team form's.
 void build_packed_arcs(const graph::EdgeList& g, graph::VertexId n,
                        std::span<const std::uint32_t> rank,
                        std::vector<graph::EdgeId>& offsets,
                        std::unique_ptr<std::uint64_t[]>& keys);
 
-/// Decode-on-the-fly variant over the compressed CSR: streams the varint
-/// rows straight into packed ⟨rank, target⟩ keys.  The only uncompressed
-/// scratch is one u32 target per edge for the scatter; no EdgeList or
-/// CsrGraph is ever materialized (the eager path costs 16 B/edge more).
-void build_packed_arcs(const graph::CompressedCsr& g,
-                       std::span<const std::uint32_t> rank,
+/// Same rows straight from the compressed CSR: the team decodes the varint
+/// rows into one packed ⟨u, v⟩ word per edge (8 bytes/edge, freed once it
+/// is gathered into rank order; no EdgeList or CsrGraph is ever
+/// materialized) and scatters in rank order exactly like the EdgeList form,
+/// so both inputs give identical offsets and keys.
+void build_packed_arcs(ThreadTeam& team, const graph::CompressedCsr& g,
+                       std::span<const std::uint32_t> rank_to_edge,
                        std::vector<graph::EdgeId>& offsets,
                        std::unique_ptr<std::uint64_t[]>& keys);
 

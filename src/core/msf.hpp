@@ -55,9 +55,10 @@ inline constexpr Algorithm kExtensionAlgorithms[] = {
 /// kScan is the seed kernel: every arc compared under the two-word
 /// ⟨weight, orig⟩ comparator, no pruning, no packing — kept as the exact
 /// A/B baseline.  kSimd is the accelerated path: per-edge weight ranks
-/// packed with the arc index into a uint64 whose integer order equals
-/// WeightOrder, live-arc pruning (Bor-FAL), the runtime-dispatched SIMD
-/// min-scan kernel, and the contention-aware local-best reduction.  The
+/// packed with the arc index or target into a uint64 whose integer order
+/// equals WeightOrder, Bor-FAL's rank-sorted rows with a per-vertex head
+/// pointer past retired arcs, and the contention-aware local-best
+/// reduction.  The
 /// packed path needs ranks and directed-arc indices to fit 32 bits
 /// (m ≤ 2^31); kAuto picks kSimd when that holds and kScan otherwise, and a
 /// forced kSimd on an unpackable graph silently degrades to kScan.  Both
@@ -146,7 +147,7 @@ struct MsfOptions {
   StepTimes* step_times = nullptr;
   std::vector<IterationStat>* iteration_stats = nullptr;
   PhaseStats* phase_stats = nullptr;
-  /// find-min scan dispatch (kAuto = packed-key SIMD path when possible).
+  /// find-min dispatch (kAuto = the packed-key path when possible).
   FindMinMode find_min = FindMinMode::kAuto;
   /// Find-min contention-cutoff overrides; 0 keeps the defaults in
   /// pprim/tuning.hpp (kFindMinLocalBestThreads / kFindMinLocalBestCutoff /

@@ -19,13 +19,13 @@ FlexAdjList::FlexAdjList(VertexId n, std::span<const EdgeId> offsets)
   std::iota(label_.begin(), label_.end(), VertexId{0});
   std::iota(head_.begin(), head_.end(), VertexId{0});
   std::iota(tail_.begin(), tail_.end(), VertexId{0});
-  live_end_.assign(offsets.begin() + 1, offsets.end());
+  live_head_.assign(offsets.begin(), offsets.end() - 1);
 }
 
 EdgeId FlexAdjList::live_arcs() const {
   EdgeId total = 0;
-  for (std::size_t x = 0; x < live_end_.size(); ++x) {
-    total += live_end_[x] - offsets_[x];
+  for (std::size_t x = 0; x < live_head_.size(); ++x) {
+    total += offsets_[x + 1] - live_head_[x];
   }
   return total;
 }

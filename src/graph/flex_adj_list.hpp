@@ -39,18 +39,20 @@ class FlexAdjList {
   [[nodiscard]] VertexId super_of(VertexId orig) const { return label_[orig]; }
   [[nodiscard]] std::span<const VertexId> labels() const { return label_; }
 
-  /// Live-arc working set (packed-key find-min acceleration): for each
-  /// original vertex x, only the arc slots in [csr.offsets()[x],
-  /// live_ends()[x]) can still connect x's supervertex to another one.
-  /// Initialized to the full slice; find-min block-compacts arcs out of the
-  /// prefix once the labels prove them permanent supervertex self-loops
-  /// (contraction only ever merges supervertices, so a dead arc stays dead).
-  /// Contraction itself never touches the set — segments stay keyed by
-  /// original vertex.  FindMinMode::kScan ignores it.
-  [[nodiscard]] std::span<EdgeId> live_ends() { return live_end_; }
-  [[nodiscard]] std::span<const EdgeId> live_ends() const { return live_end_; }
+  /// Live-arc working set (packed-key find-min): for each original vertex
+  /// x, only the arc slots in [live_heads()[x], offsets[x + 1]) can still
+  /// connect x's supervertex to another one.  The packed path stores each
+  /// row sorted by weight rank, so find-min advances x's head past the
+  /// leading arcs whose target now shares x's supervertex — permanent
+  /// self-loops, because contraction only ever merges — and the arc at the
+  /// head is x's lightest live arc.  Heads start at the row starts and only
+  /// move forward, so each arc is stepped over at most once per solve.
+  /// Contraction itself never touches the heads — segments stay keyed by
+  /// original vertex.  FindMinMode::kScan ignores them.
+  [[nodiscard]] std::span<EdgeId> live_heads() { return live_head_; }
+  [[nodiscard]] std::span<const EdgeId> live_heads() const { return live_head_; }
 
-  /// Directed arcs still live across all vertices (Σ slice lengths).
+  /// Directed arcs still live across all vertices (Σ row end − head).
   [[nodiscard]] EdgeId live_arcs() const;
 
   /// Visit every member (original vertex) of supervertex `s`.
@@ -94,7 +96,7 @@ class FlexAdjList {
   std::vector<VertexId> head_;   // per supervertex: first member
   std::vector<VertexId> tail_;   // per supervertex: last member
   std::vector<VertexId> next_;   // per original vertex: next member in list
-  std::vector<EdgeId> live_end_;  // per original vertex: end of live prefix
+  std::vector<EdgeId> live_head_;  // per original vertex: first live arc slot
 };
 
 }  // namespace smp::graph

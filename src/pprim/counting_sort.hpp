@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "pprim/parallel_for.hpp"
@@ -23,17 +24,24 @@ struct BucketScatterScratch {
 /// out[key_offsets[k] .. key_offsets[k + 1]).  `emit(put)` walks the calling
 /// thread's static block and calls put(key, item) for each item it produces
 /// (a filter, a relabel or a 1:2 expansion all fit); it must make the same
-/// calls on both of its passes.  The exclusive scan of the (num_keys × p)
-/// counts yields the row offsets and every thread's cursors at once, so each
-/// row lists its items in block order — stable, like counting_sort_by_key.
-/// tid 0 resizes `out`; when T's default constructor leaves it uninitialized,
-/// the scatter itself first-touches the new pages, in parallel.  All team
+/// calls on both of its passes.  put.prefetch(key) hints that the calling
+/// thread will still put an item under `key` (it must): a no-op while
+/// counting, a write prefetch of the key's next slot while scattering —
+/// with random keys, issuing it a few items ahead hides most of each
+/// scattered write's miss.  The exclusive scan of the (num_keys × p) counts
+/// yields the row offsets and every thread's cursors at once, so each row
+/// lists its items in block order — stable, like counting_sort_by_key.
+/// `out` is a std::vector<T> or anything with resize(total) and operator[]
+/// (find_min.cpp scatters into an uninitialized unique_ptr<T[]> this way).
+/// tid 0 resizes `out`; when that leaves the elements uninitialized, the
+/// scatter itself first-touches the new pages, in parallel.  All team
 /// threads call it with identical arguments; the final barrier publishes
 /// `out` and `key_offsets`.
-template <class T, class Emit>
+template <class Out, class Emit>
 void bucket_scatter_in_region(TeamCtx& ctx, std::size_t num_keys, Emit&& emit,
                               std::vector<std::uint64_t>& key_offsets,
-                              std::vector<T>& out, BucketScatterScratch& s) {
+                              Out& out, BucketScatterScratch& s) {
+  using T = std::remove_cvref_t<decltype(out[0])>;
   const auto P = static_cast<std::size_t>(ctx.nthreads());
   const auto t = static_cast<std::size_t>(ctx.tid());
   if (t == 0) {
@@ -44,7 +52,13 @@ void bucket_scatter_in_region(TeamCtx& ctx, std::size_t num_keys, Emit&& emit,
   ctx.barrier();
   for_range(ctx, s.counts.size(), [&](std::size_t i) { s.counts[i] = 0; });
   ctx.barrier();
-  emit([&](std::size_t key, const T&) { ++s.counts[key * P + t]; });
+  struct Count {
+    std::uint64_t* counts;
+    std::size_t P, t;
+    void operator()(std::size_t key, const T&) const { ++counts[key * P + t]; }
+    void prefetch(std::size_t) const {}
+  };
+  emit(Count{s.counts.data(), P, t});
   ctx.barrier();
   const std::uint64_t total =
       prefix_sum_in_region(ctx, std::span<std::uint64_t>(s.counts), s.scan);
@@ -54,7 +68,18 @@ void bucket_scatter_in_region(TeamCtx& ctx, std::size_t num_keys, Emit&& emit,
     out.resize(total);
   }
   ctx.barrier();
-  emit([&](std::size_t key, const T& item) { out[s.counts[key * P + t]++] = item; });
+  struct Scatter {
+    Out& out;
+    std::uint64_t* counts;
+    std::size_t P, t;
+    void operator()(std::size_t key, const T& item) const {
+      out[counts[key * P + t]++] = item;
+    }
+    void prefetch(std::size_t key) const {
+      __builtin_prefetch(&out[counts[key * P + t]], 1);
+    }
+  };
+  emit(Scatter{out, s.counts.data(), P, t});
   ctx.barrier();
 }
 

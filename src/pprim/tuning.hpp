@@ -31,11 +31,14 @@ inline constexpr std::size_t kDefaultSampleSortCutoff = std::size_t{1} << 15;
 /// (0 = these defaults).
 inline constexpr int kFindMinLocalBestThreads = 4;
 inline constexpr std::size_t kFindMinLocalBestCutoff = 4096;
-/// Vertices per dynamic-scheduling chunk of the Bor-FAL prune+scan loop.
-/// Live-arc counts skew heavily after a few contractions, so static blocks
-/// load-imbalance; 64 vertices keeps the cursor traffic negligible.
+/// Vertices per dynamic-scheduling chunk of the Bor-FAL find-min loop.
+/// How far a vertex's head steps varies widely between vertices, so static
+/// blocks load-imbalance.  A vertex whose head does not move costs a few
+/// nanoseconds, so a chunk must be large enough that grabbing it (one
+/// contended fetch_add) stays cheap: on the 500×500 mesh, chunks of 64
+/// spent about half of find-min on the cursor at p = 2 and p = 4.
 /// Overridable via MsfOptions::find_min_prune_block.
-inline constexpr std::size_t kFindMinPruneBlock = 64;
+inline constexpr std::size_t kFindMinPruneBlock = 1024;
 
 namespace tuning_detail {
 inline std::atomic<std::size_t> g_parallel_for_cutoff{kDefaultParallelForCutoff};

@@ -98,7 +98,10 @@ std::string MetricsRegistry::to_json(
     if (completed == 0) continue;
     if (!first) json += ", ";
     first = false;
-    json += "\"" + std::string(to_string(static_cast<Op>(i))) + "\": ";
+    // Appended piecewise: GCC 12 -Wrestrict misfires on "\"" + std::string.
+    json += '"';
+    json += to_string(static_cast<Op>(i));
+    json += "\": ";
     std::snprintf(buf, sizeof buf,
                   "{\"completed\": %" PRIu64 ", \"errors\": %" PRIu64
                   ", \"latency_us\": ",

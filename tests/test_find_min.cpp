@@ -3,14 +3,20 @@
 // runtime-dispatched SIMD min-scan kernel (pprim/simd.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <numeric>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "core/find_min.hpp"
 #include "core/msf.hpp"
+#include "graph/compressed_csr.hpp"
 #include "graph/csr.hpp"
 #include "graph/flex_adj_list.hpp"
 #include "graph/generators.hpp"
@@ -155,23 +161,36 @@ TEST(FindMin, ScanModeReportsNoPruning) {
 }
 
 TEST(FindMin, ContractionNeverTouchesTheLiveArcSet) {
-  // The live-arc working set is keyed by ORIGINAL vertex; contract() merges
-  // supervertices without looking at it.
+  // The live-arc heads are keyed by ORIGINAL vertex; contract() merges
+  // supervertices without looking at them.
   const EdgeList g = random_graph(256, 1024, 17);
   const CsrGraph csr(g);
   FlexAdjList fal(csr);
   ASSERT_EQ(fal.live_arcs(), csr.num_arcs());
-  const auto ends_before = std::vector<EdgeId>(fal.live_ends().begin(),
-                                               fal.live_ends().end());
+  // Heads start at the row starts.
+  EXPECT_EQ(std::vector<EdgeId>(fal.live_heads().begin(),
+                                fal.live_heads().end()),
+            std::vector<EdgeId>(csr.offsets().begin(),
+                                csr.offsets().end() - 1));
+  // Step a few heads forward as find-min would, then contract.
+  const auto heads = fal.live_heads();
+  EdgeId stepped = 0;
+  for (VertexId x = 0; x < csr.num_vertices(); x += 3) {
+    if (heads[x] < csr.offsets()[x + 1]) {
+      ++heads[x];
+      ++stepped;
+    }
+  }
+  const auto heads_before = std::vector<EdgeId>(heads.begin(), heads.end());
   // Merge pairs: new_label[s] = s / 2.
   std::vector<VertexId> new_label(fal.num_super());
   for (VertexId s = 0; s < fal.num_super(); ++s) new_label[s] = s / 2;
   ThreadTeam team(2);
   fal.contract(team, new_label, fal.num_super() / 2);
-  EXPECT_EQ(std::vector<EdgeId>(fal.live_ends().begin(),
-                                fal.live_ends().end()),
-            ends_before);
-  EXPECT_EQ(fal.live_arcs(), csr.num_arcs());
+  EXPECT_EQ(std::vector<EdgeId>(fal.live_heads().begin(),
+                                fal.live_heads().end()),
+            heads_before);
+  EXPECT_EQ(fal.live_arcs(), csr.num_arcs() - stepped);
 }
 
 TEST(FindMin, PruneFaultLeavesTeamReusable) {
@@ -249,6 +268,135 @@ TEST(FindMin, WeightRanksAgreeWithWeightOrder) {
       const WeightOrder oi{g.edges[i].w, i};
       const WeightOrder oj{g.edges[j].w, j};
       EXPECT_EQ(oi < oj, rank[i] < rank[j]) << i << " vs " << j;
+    }
+  }
+}
+
+// Weight sets for the radix path of the rank sort: ties everywhere, equal
+// keys, signed zeros, negatives, and weights that differ only in their low
+// mantissa bits around a power of two (a sort on the top key bits alone
+// misorders them).
+std::vector<std::pair<const char*, std::vector<Weight>>> rank_weight_sets(
+    std::size_t m) {
+  std::mt19937_64 rng(2024);
+  std::vector<std::pair<const char*, std::vector<Weight>>> sets;
+  auto add = [&](const char* name, auto gen) {
+    std::vector<Weight> w(m);
+    for (std::size_t i = 0; i < m; ++i) w[i] = gen(i);
+    sets.emplace_back(name, std::move(w));
+  };
+  add("seven-values", [&](std::size_t) { return Weight(rng() % 7); });
+  add("all-equal", [&](std::size_t) { return 3.25; });
+  add("signed-zeros",
+      [&](std::size_t) { return (rng() & 1) != 0 ? 0.0 : -0.0; });
+  add("negative", [&](std::size_t) {
+    return -static_cast<Weight>(rng() % 1000) / 8.0;
+  });
+  add("low-mantissa-around-one", [&](std::size_t) {
+    // 1.0 ± a few ulps: one exponent step apart, the rest in the last bits.
+    Weight w = 1.0;
+    const int steps = static_cast<int>(rng() % 9) - 4;
+    for (int k = 0; k < (steps < 0 ? -steps : steps); ++k) {
+      w = std::nextafter(w, steps < 0 ? 0.0 : 2.0);
+    }
+    return w;
+  });
+  add("uniform", [&](std::size_t) {
+    return std::uniform_real_distribution<Weight>(-1.0, 1.0)(rng);
+  });
+  return sets;
+}
+
+TEST(FindMin, RankOrderMatchesStableSortOnTheRadixPath) {
+  // Above the std::sort cutoff (2^15), so every team size runs the LSD
+  // radix path.  A stable sort of the input indices by weight is the
+  // WeightOrder reference: equal weights (including -0.0 == +0.0) keep
+  // input-index order.
+  const std::size_t m = (std::size_t{1} << 16) + 37;
+  for (const auto& [name, w] : rank_weight_sets(m)) {
+    std::vector<std::uint32_t> want_order(m);
+    std::iota(want_order.begin(), want_order.end(), 0u);
+    std::stable_sort(
+        want_order.begin(), want_order.end(),
+        [&](std::uint32_t a, std::uint32_t b) { return w[a] < w[b]; });
+    std::vector<std::uint32_t> want_rank(m);
+    for (std::size_t r = 0; r < m; ++r) {
+      want_rank[want_order[r]] = static_cast<std::uint32_t>(r);
+    }
+    EdgeList g(64);
+    std::mt19937_64 rng(5);
+    for (std::size_t i = 0; i < m; ++i) {
+      const auto u = static_cast<VertexId>(rng() % 63);
+      g.edges.push_back({u, u + 1, w[i]});
+    }
+    const std::span<const Weight> flat(w);
+    for (const int p : {1, 2, 3, 4, 8}) {
+      ThreadTeam team(p);
+      EXPECT_EQ(core::build_rank_order(team, g), want_order)
+          << name << " EdgeList p=" << p;
+      EXPECT_EQ(core::build_rank_order(team, flat), want_order)
+          << name << " span p=" << p;
+      EXPECT_EQ(core::build_weight_ranks(team, g), want_rank)
+          << name << " EdgeList p=" << p;
+      EXPECT_EQ(core::build_weight_ranks(team, flat), want_rank)
+          << name << " span p=" << p;
+    }
+  }
+}
+
+TEST(FindMin, PackedRowsRankSortedAndIdenticalAcrossStorage) {
+  // The packed rows are the head-pointer find-min's precondition: each
+  // vertex's ⟨rank, target⟩ row ascends by rank.  The EdgeList pack, the
+  // team-less pack from `rank`, and the CompressedCsr pack of the same
+  // (canonical) graph must give identical offsets and keys at every p.
+  EdgeList raw = random_graph(3000, 40000, 12);
+  std::mt19937_64 rng(77);
+  for (auto& e : raw.edges) e.w = static_cast<Weight>(rng() % 50);
+  const CompressedCsr cz = CompressedCsr::build(raw);
+  const EdgeList g = cz.decode_edge_list();
+  const VertexId n = g.num_vertices;
+  const std::size_t m = g.edges.size();
+
+  std::vector<EdgeId> ref_offsets;
+  std::vector<std::uint64_t> ref_keys;
+  for (const int p : {1, 2, 4}) {
+    ThreadTeam team(p);
+    const auto order = core::build_rank_order(team, g);
+    ASSERT_EQ(order, core::build_rank_order(
+                         team, std::span<const Weight>(cz.weights(), m)));
+    std::vector<EdgeId> offsets, z_offsets, r_offsets;
+    std::unique_ptr<std::uint64_t[]> keys, z_keys, r_keys;
+    core::build_packed_arcs(team, g, n, order, offsets, keys);
+    core::build_packed_arcs(team, cz, order, z_offsets, z_keys);
+    core::build_packed_arcs(g, n, core::build_weight_ranks(team, g), r_offsets,
+                            r_keys);
+    ASSERT_EQ(offsets.size(), std::size_t{n} + 1);
+    ASSERT_EQ(offsets.back(), 2 * m);
+    const std::vector<std::uint64_t> k(keys.get(), keys.get() + 2 * m);
+    EXPECT_EQ(z_offsets, offsets) << "p=" << p;
+    EXPECT_EQ(std::vector<std::uint64_t>(z_keys.get(), z_keys.get() + 2 * m), k)
+        << "p=" << p;
+    EXPECT_EQ(r_offsets, offsets) << "p=" << p;
+    EXPECT_EQ(std::vector<std::uint64_t>(r_keys.get(), r_keys.get() + 2 * m), k)
+        << "p=" << p;
+    for (VertexId x = 0; x < n; ++x) {
+      for (EdgeId i = offsets[x] + 1; i < offsets[x + 1]; ++i) {
+        ASSERT_LT(core::key_rank(k[i - 1]), core::key_rank(k[i]))
+            << "row " << x << " p=" << p;
+      }
+      for (EdgeId i = offsets[x]; i < offsets[x + 1]; ++i) {
+        const graph::WEdge& e = g.edges[order[core::key_rank(k[i])]];
+        const VertexId other = e.u == x ? e.v : e.u;
+        ASSERT_TRUE(e.u == x || e.v == x) << "row " << x;
+        ASSERT_EQ(core::key_index(k[i]), other) << "row " << x;
+      }
+    }
+    if (p == 1) {
+      ref_offsets = offsets;
+      ref_keys = k;
+    } else {
+      EXPECT_EQ(offsets, ref_offsets) << "p=" << p;
+      EXPECT_EQ(k, ref_keys) << "p=" << p;
     }
   }
 }
