@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "core/error.hpp"
+#include "graph/validate.hpp"
 
 namespace smp::graph {
 
@@ -25,12 +26,6 @@ constexpr std::size_t align8(std::size_t x) { return (x + 7) & ~std::size_t{7}; 
                                             what + " at offset " +
                                             std::to_string(offset));
 }
-
-struct SortItem {
-  VertexId u, v;
-  Weight w;
-  EdgeId orig;
-};
 
 }  // namespace
 
@@ -54,62 +49,41 @@ CompressedCsr CompressedCsr::build(const EdgeList& g,
     throw Error(ErrorCode::kInvalidInput,
                 "CompressedCsr::build: more than 2^32-1 edges");
   }
-  std::vector<SortItem> items;
-  items.reserve(g.edges.size());
-  for (EdgeId i = 0; i < g.num_edges(); ++i) {
-    const WEdge& e = g.edges[i];
-    const VertexId u = std::min(e.u, e.v);
-    const VertexId v = std::max(e.u, e.v);
-    items.push_back(SortItem{u, v, e.w, i});
-  }
-  // Canonical order: by row, then target; parallel edges resolve to the
-  // WeightOrder-minimal one, the same winner canonicalize_parallel_edges
-  // keeps.
-  std::sort(items.begin(), items.end(),
-            [](const SortItem& a, const SortItem& b) {
-              if (a.u != b.u) return a.u < b.u;
-              if (a.v != b.v) return a.v < b.v;
-              return WeightOrder{a.w, a.orig} < WeightOrder{b.w, b.orig};
-            });
+  // Rows by smaller endpoint, then target; each run of parallel edges
+  // starts with its WeightOrder-minimal edge, the same winner
+  // canonicalize_parallel_edges keeps.
+  const EndpointPairOrder order = order_by_endpoint_pair(g);
+  const std::size_t kept = order.ids.size() - order.duplicates;
 
   CompressedCsr c;
   c.n_ = g.num_vertices;
   c.own_edge_off_.assign(std::size_t{c.n_} + 1, 0);
   std::vector<std::uint64_t> byte_off(std::size_t{c.n_} + 1, 0);
-  c.own_adj_.reserve(items.size() * 2);
-  c.own_weights_.reserve(items.size());
+  c.own_adj_.reserve(kept * 2);
+  c.own_weights_.reserve(kept);
   if (kept_input_ids != nullptr) {
     kept_input_ids->clear();
-    kept_input_ids->reserve(items.size());
+    kept_input_ids->reserve(kept);
   }
 
-  VertexId row = 0;
-  VertexId prev_v = 0;
-  bool have_prev = false;
   EdgeId m = 0;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const SortItem& it = items[i];
-    if (i > 0 && it.u == items[i - 1].u && it.v == items[i - 1].v) {
-      continue;  // parallel edge: the sort already put the winner first
+  for (VertexId u = 0; u < c.n_; ++u) {
+    VertexId prev_v = u;  // the row's first gap is v - u
+    bool have_prev = false;
+    for (EdgeId k = order.row_start[u]; k < order.row_start[u + 1]; ++k) {
+      const EdgeId id = order.ids[k];
+      const WEdge& e = g.edges[id];
+      const VertexId v = std::max(e.u, e.v);
+      if (have_prev && v == prev_v) continue;  // parallel edge: run's first won
+      varint_append_u32(c.own_adj_, v - prev_v);
+      c.own_weights_.push_back(e.w);
+      if (kept_input_ids != nullptr) kept_input_ids->push_back(id);
+      prev_v = v;
+      have_prev = true;
+      ++m;
     }
-    while (row < it.u) {
-      ++row;
-      c.own_edge_off_[row] = static_cast<std::uint32_t>(m);
-      byte_off[row] = c.own_adj_.size();
-      have_prev = false;
-    }
-    const VertexId gap = have_prev ? it.v - prev_v : it.v - it.u;
-    varint_append_u32(c.own_adj_, gap);
-    c.own_weights_.push_back(it.w);
-    if (kept_input_ids != nullptr) kept_input_ids->push_back(it.orig);
-    prev_v = it.v;
-    have_prev = true;
-    ++m;
-  }
-  while (row < c.n_) {
-    ++row;
-    c.own_edge_off_[row] = static_cast<std::uint32_t>(m);
-    byte_off[row] = c.own_adj_.size();
+    c.own_edge_off_[u + 1] = static_cast<std::uint32_t>(m);
+    byte_off[u + 1] = c.own_adj_.size();
   }
   c.m_ = m;
   c.adj_bytes_ = c.own_adj_.size();

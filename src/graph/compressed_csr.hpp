@@ -25,12 +25,13 @@ namespace smp::graph {
 /// stay a raw f64 array indexed by that implicit id (they are incompressible
 /// and the solvers touch them exactly once, to build weight ranks).
 ///
-/// Canonical order invariant: rows are built from the edge list after
-/// normalizing u <= v, sorting by (u, v) and deduplicating parallel edges
-/// keeping the ⟨weight, input-id⟩-minimal one — the same canonical choice
-/// as canonicalize_parallel_edges, so the forest computed on the compressed
-/// graph equals the forest on the canonicalized uncompressed graph
-/// edge-for-edge (the bit-identity suite pins this at p in {1,2,4,8}).
+/// Canonical order invariant: rows are built from the edge list's
+/// order_by_endpoint_pair (graph/validate.hpp) — u <= v, sorted by (u, v),
+/// parallel edges deduplicated keeping the ⟨weight, input-id⟩-minimal one —
+/// the same kernel and choice as canonicalize_parallel_edges, so the forest
+/// computed on the compressed graph equals the forest on the canonicalized
+/// uncompressed graph edge-for-edge (the bit-identity suite pins this at p
+/// in {1,2,4,8}).
 ///
 /// On-disk layout (native-endian, like SMPG; sections 8-byte aligned):
 ///   header   { "SMPZ", u32 version=1, u32 flags, u32 n, u64 m, u64 adj_bytes }

@@ -3,7 +3,9 @@
 #include "graph/validate.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
@@ -12,6 +14,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 namespace smp::graph {
 
@@ -31,7 +34,7 @@ void reserve_declared_edges(std::vector<WEdge>& edges, std::uint64_t declared) {
 /// file has fully parsed and validated.
 EdgeList finish_load(EdgeList g, ParallelEdgePolicy policy) {
   if (policy == ParallelEdgePolicy::kKeepAll) return g;
-  return canonicalize_parallel_edges(g);
+  return canonicalize_parallel_edges(std::move(g));
 }
 
 }  // namespace
@@ -111,31 +114,35 @@ namespace {
 
 constexpr char kMagic[4] = {'S', 'M', 'P', 'G'};
 constexpr std::uint32_t kBinaryVersion = 1;
+constexpr std::size_t kHeaderBytes = 20;  // magic, version, n, m
 
-template <class T>
-void put(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
+// Edge records move between disk and g.edges as raw bytes, so the in-memory
+// WEdge must be the on-disk record.
+static_assert(std::endian::native == std::endian::little,
+              "the .smpg format is little-endian");
+static_assert(std::is_trivially_copyable_v<WEdge> && sizeof(WEdge) == 16 &&
+                  offsetof(WEdge, u) == 0 && offsetof(WEdge, v) == 4 &&
+                  offsetof(WEdge, w) == 8,
+              "WEdge must match the 16-byte .smpg edge record");
 
-template <class T>
-T get(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!is) throw std::runtime_error("read_binary: truncated input");
-  return v;
-}
+/// Records per read or write call (16 MiB): a corrupt declared count makes
+/// the reader allocate at most one chunk beyond the records present.
+constexpr std::size_t kChunkEdges = std::size_t{1} << 20;
 
 }  // namespace
 
 void write_binary(std::ostream& os, const EdgeList& g) {
-  os.write(kMagic, 4);
-  put(os, kBinaryVersion);
-  put(os, g.num_vertices);
-  put(os, static_cast<std::uint64_t>(g.num_edges()));
-  for (const auto& e : g.edges) {
-    put(os, e.u);
-    put(os, e.v);
-    put(os, e.w);
+  char header[kHeaderBytes];
+  const std::uint64_t m = g.num_edges();
+  std::memcpy(header, kMagic, 4);
+  std::memcpy(header + 4, &kBinaryVersion, 4);
+  std::memcpy(header + 8, &g.num_vertices, 4);
+  std::memcpy(header + 12, &m, 8);
+  os.write(header, kHeaderBytes);
+  for (std::size_t i = 0; i < g.edges.size() && os; i += kChunkEdges) {
+    const std::size_t count = std::min(kChunkEdges, g.edges.size() - i);
+    os.write(reinterpret_cast<const char*>(g.edges.data() + i),
+             static_cast<std::streamsize>(count * sizeof(WEdge)));
   }
   if (!os) throw std::runtime_error("write_binary: stream failure");
 }
@@ -147,32 +154,44 @@ void write_binary_file(const std::string& path, const EdgeList& g) {
 }
 
 EdgeList read_binary(std::istream& is, ParallelEdgePolicy policy) {
-  char magic[4] = {};
-  is.read(magic, 4);
-  if (!is || std::memcmp(magic, kMagic, 4) != 0) {
+  char header[kHeaderBytes] = {};
+  is.read(header, kHeaderBytes);
+  if (is.gcount() < 4 || std::memcmp(header, kMagic, 4) != 0) {
     throw std::runtime_error("read_binary: bad magic (not an SMPG file)");
   }
-  const auto version = get<std::uint32_t>(is);
+  if (!is) throw std::runtime_error("read_binary: truncated input");
+  std::uint32_t version = 0;
+  std::memcpy(&version, header + 4, 4);
   if (version != kBinaryVersion) {
     throw std::runtime_error("read_binary: unsupported version " +
                              std::to_string(version));
   }
   EdgeList g;
-  g.num_vertices = get<VertexId>(is);
-  const auto m = get<std::uint64_t>(is);
+  std::uint64_t m = 0;
+  std::memcpy(&g.num_vertices, header + 8, 4);
+  std::memcpy(&m, header + 12, 8);
   reserve_declared_edges(g.edges, m);
-  for (std::uint64_t i = 0; i < m; ++i) {
-    WEdge e;
-    e.u = get<VertexId>(is);
-    e.v = get<VertexId>(is);
-    e.w = get<Weight>(is);
-    if (e.u >= g.num_vertices || e.v >= g.num_vertices) {
-      throw std::runtime_error("read_binary: endpoint out of range");
+  // Read a chunk straight into g.edges, then validate the records it got
+  // before reading on; a short read fails only after its whole records
+  // passed, so errors surface in file order.
+  while (g.edges.size() < m) {
+    const std::size_t begin = g.edges.size();
+    const auto want =
+        static_cast<std::size_t>(std::min<std::uint64_t>(kChunkEdges, m - begin));
+    g.edges.resize(begin + want);
+    is.read(reinterpret_cast<char*>(g.edges.data() + begin),
+            static_cast<std::streamsize>(want * sizeof(WEdge)));
+    const auto got = static_cast<std::size_t>(is.gcount()) / sizeof(WEdge);
+    for (std::size_t i = begin; i < begin + got; ++i) {
+      const WEdge& e = g.edges[i];
+      if (e.u >= g.num_vertices || e.v >= g.num_vertices) {
+        throw std::runtime_error("read_binary: endpoint out of range");
+      }
+      if (!std::isfinite(e.w)) {
+        throw std::runtime_error("read_binary: non-finite weight");
+      }
     }
-    if (!std::isfinite(e.w)) {
-      throw std::runtime_error("read_binary: non-finite weight");
-    }
-    g.edges.push_back(e);
+    if (got != want) throw std::runtime_error("read_binary: truncated input");
   }
   return finish_load(std::move(g), policy);
 }

@@ -46,8 +46,12 @@ EdgeList read_dimacs_file(const std::string& path,
 ///   magic "SMPG" | u32 version | u32 num_vertices | u64 num_edges |
 ///   num_edges × { u32 u, u32 v, f64 w }
 ///
-/// Roughly 6x smaller and an order of magnitude faster to parse than the
-/// text format at the paper's 1M/20M scale.
+/// A record is the in-memory WEdge byte for byte, so the reader copies
+/// records straight into the edge list in chunks of 2^20 (16 MiB) and
+/// validates each chunk (endpoints < n, finite weights) before reading on.
+/// On random_graph(10^5, 10^6) the file is 16.0 MB against 33.8 MB of text,
+/// and read_binary_file takes 0.03-0.05 s against read_dimacs_file's 0.80 s
+/// (4-vCPU Xeon VM, optimized build; both canonicalize).
 void write_binary(std::ostream& os, const EdgeList& g);
 void write_binary_file(const std::string& path, const EdgeList& g);
 EdgeList read_binary(std::istream& is,

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <queue>
-#include <unordered_map>
+#include <stdexcept>
 #include <vector>
 
 #include "graph/stats.hpp"
@@ -85,40 +86,97 @@ ForestCheck validate_spanning_forest(const EdgeList& g, std::span<const WEdge> f
   return res;
 }
 
-EdgeList canonicalize_parallel_edges(const EdgeList& g,
-                                     std::vector<EdgeId>* kept_ids) {
-  const auto pair_key = [](const WEdge& e) {
-    const VertexId a = e.u <= e.v ? e.u : e.v;
-    const VertexId b = e.u <= e.v ? e.v : e.u;
-    return (static_cast<std::uint64_t>(a) << 32) | b;
-  };
+EndpointPairOrder order_by_endpoint_pair(const EdgeList& g) {
+  const std::size_t n = g.num_vertices;
+  const std::size_t m = g.edges.size();
+  EndpointPairOrder o;
+  o.row_start.assign(n + 1, 0);
+  for (const WEdge& e : g.edges) {
+    if (e.u >= n || e.v >= n) {
+      throw std::invalid_argument("order_by_endpoint_pair: endpoint out of range");
+    }
+    ++o.row_start[std::size_t{std::min(e.u, e.v)} + 1];
+  }
+  std::partial_sum(o.row_start.begin(), o.row_start.end(), o.row_start.begin());
+  // Scatter in input order with row_start[a] as row a's cursor; that leaves
+  // each cursor at the start of the next row, so shift them back by one.
+  o.ids.resize(m);
+  for (EdgeId i = 0; i < m; ++i) {
+    const WEdge& e = g.edges[i];
+    o.ids[o.row_start[std::min(e.u, e.v)]++] = i;
+  }
+  std::copy_backward(o.row_start.begin(), o.row_start.begin() + n,
+                     o.row_start.end());
+  o.row_start[0] = 0;
 
-  // Pass 1: per endpoint pair, the WeightOrder-minimal edge id.
-  std::unordered_map<std::uint64_t, EdgeId> best;
-  best.reserve(g.edges.size());
-  for (EdgeId i = 0; i < g.edges.size(); ++i) {
-    const auto [it, fresh] = best.try_emplace(pair_key(g.edges[i]), i);
-    if (!fresh) {
-      const EdgeId j = it->second;
-      if (WeightOrder{g.edges[i].w, i} < WeightOrder{g.edges[j].w, j}) {
-        it->second = i;
-      }
+  struct Arc {
+    VertexId b;
+    Weight w;
+    EdgeId id;
+  };
+  std::vector<Arc> row;
+  for (std::size_t a = 0; a < n; ++a) {
+    const EdgeId lo = o.row_start[a];
+    const EdgeId hi = o.row_start[a + 1];
+    if (hi - lo < 2) continue;
+    row.clear();
+    for (EdgeId k = lo; k < hi; ++k) {
+      const WEdge& e = g.edges[o.ids[k]];
+      row.push_back(Arc{std::max(e.u, e.v), e.w, o.ids[k]});
+    }
+    std::sort(row.begin(), row.end(), [](const Arc& x, const Arc& y) {
+      if (x.b != y.b) return x.b < y.b;
+      return WeightOrder{x.w, x.id} < WeightOrder{y.w, y.id};
+    });
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      o.ids[lo + k] = row[k].id;
+      if (k > 0 && row[k].b == row[k - 1].b) ++o.duplicates;
+    }
+  }
+  return o;
+}
+
+EdgeList canonicalize_parallel_edges(EdgeList&& g, std::vector<EdgeId>* kept_ids) {
+  const EndpointPairOrder order = order_by_endpoint_pair(g);
+  const std::size_t m = g.edges.size();
+  if (order.duplicates == 0) {
+    if (kept_ids != nullptr) {
+      kept_ids->resize(m);
+      std::iota(kept_ids->begin(), kept_ids->end(), EdgeId{0});
+    }
+    return std::move(g);
+  }
+
+  // Mark every edge after the first of its endpoint-pair run.
+  std::vector<char> loses(m, 0);
+  for (VertexId a = 0; a < g.num_vertices; ++a) {
+    VertexId prev = kInvalidVertex;
+    for (EdgeId k = order.row_start[a]; k < order.row_start[a + 1]; ++k) {
+      const WEdge& e = g.edges[order.ids[k]];
+      const VertexId b = std::max(e.u, e.v);
+      if (b == prev) loses[order.ids[k]] = 1;
+      prev = b;
     }
   }
 
-  // Pass 2: keep the winners in input order.
-  EdgeList out(g.num_vertices);
-  out.edges.reserve(best.size());
+  // Compact the winners in place, in input order.
   if (kept_ids != nullptr) {
     kept_ids->clear();
-    kept_ids->reserve(best.size());
+    kept_ids->reserve(m - order.duplicates);
   }
-  for (EdgeId i = 0; i < g.edges.size(); ++i) {
-    if (best.at(pair_key(g.edges[i])) != i) continue;
-    out.edges.push_back(g.edges[i]);
+  std::size_t out = 0;
+  for (EdgeId i = 0; i < m; ++i) {
+    if (loses[i]) continue;
+    g.edges[out++] = g.edges[i];
     if (kept_ids != nullptr) kept_ids->push_back(i);
   }
-  return out;
+  g.edges.resize(out);
+  return std::move(g);
+}
+
+EdgeList canonicalize_parallel_edges(const EdgeList& g,
+                                     std::vector<EdgeId>* kept_ids) {
+  return canonicalize_parallel_edges(EdgeList(g), kept_ids);
 }
 
 bool verify_cut_property(const EdgeList& g, std::span<const WEdge> forest,

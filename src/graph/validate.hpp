@@ -46,9 +46,32 @@ bool verify_cut_property(const EdgeList& g, std::span<const WEdge> forest,
 /// this canonical choice being reproducible across runs and readers.
 ///
 /// `kept_ids` (optional out) maps each position in the returned edge list
-/// to the index of that edge in `g.edges`.  Self-loops are preserved as-is
-/// (rejecting them is validate_request's job, not this transform's).
+/// to the index of that edge in `g.edges`.  Self-loops are kept, except that
+/// repeated self-loops on one vertex count as parallel edges and collapse to
+/// one (rejecting them is validate_request's job, not this transform's).
+/// Weights must be finite, as both readers guarantee.
+///
+/// The rvalue overload returns its input unchanged, without a copy, when it
+/// has no parallel edges, and otherwise compacts it in place.
 EdgeList canonicalize_parallel_edges(const EdgeList& g,
                                      std::vector<EdgeId>* kept_ids = nullptr);
+EdgeList canonicalize_parallel_edges(EdgeList&& g,
+                                     std::vector<EdgeId>* kept_ids = nullptr);
+
+/// The row-bucketed edge order behind canonicalize_parallel_edges and
+/// CompressedCsr::build.  Row a lists, in ids[row_start[a] .. row_start[a+1]),
+/// the ids of the edges whose smaller endpoint is a, sorted by ⟨larger
+/// endpoint, WeightOrder{w, id}⟩; so every run of equal endpoint pairs
+/// starts with the pair's WeightOrder-minimal edge, the only one that can
+/// enter a minimum spanning forest.  `duplicates` counts the ids that are
+/// not first in their run.  One counting pass and one scatter by row
+/// (O(n + m)), then a sort of each row.  Endpoints must be < num_vertices
+/// and weights finite.
+struct EndpointPairOrder {
+  std::vector<EdgeId> row_start;  ///< num_vertices + 1 entries
+  std::vector<EdgeId> ids;        ///< every edge id once
+  std::size_t duplicates = 0;
+};
+EndpointPairOrder order_by_endpoint_pair(const EdgeList& g);
 
 }  // namespace smp::graph

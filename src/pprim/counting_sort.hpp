@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -13,10 +14,19 @@
 
 namespace smp {
 
-/// Team-shared scratch for bucket_scatter_in_region (grow-only).
+/// Team-shared scratch for bucket_scatter_in_region (grow-only).  The count
+/// matrix is left uninitialized on growth: the scatter's one parallel zero
+/// pass is its first touch.
 struct BucketScatterScratch {
-  std::vector<std::uint64_t> counts;  // (num_keys × p) key-major histogram
+  std::unique_ptr<std::uint64_t[]> counts;  // (num_keys × p) key-major histogram
+  std::size_t counts_capacity = 0;
   ScanScratch<std::uint64_t> scan;
+
+  void ensure_counts(std::size_t need) {
+    if (need <= counts_capacity) return;
+    counts = std::make_unique_for_overwrite<std::uint64_t[]>(need);
+    counts_capacity = need;
+  }
 };
 
 /// In-region histogram → key-major prefix → scatter: groups the items that
@@ -44,13 +54,15 @@ void bucket_scatter_in_region(TeamCtx& ctx, std::size_t num_keys, Emit&& emit,
   using T = std::remove_cvref_t<decltype(out[0])>;
   const auto P = static_cast<std::size_t>(ctx.nthreads());
   const auto t = static_cast<std::size_t>(ctx.tid());
+  const std::size_t num_counts = num_keys * P;
   if (t == 0) {
-    s.counts.resize(num_keys * P);
+    s.ensure_counts(num_counts);
     key_offsets.resize(num_keys + 1);
     s.scan.ensure(ctx.nthreads());
   }
   ctx.barrier();
-  for_range(ctx, s.counts.size(), [&](std::size_t i) { s.counts[i] = 0; });
+  std::uint64_t* const counts = s.counts.get();
+  for_range(ctx, num_counts, [&](std::size_t i) { counts[i] = 0; });
   ctx.barrier();
   struct Count {
     std::uint64_t* counts;
@@ -58,11 +70,11 @@ void bucket_scatter_in_region(TeamCtx& ctx, std::size_t num_keys, Emit&& emit,
     void operator()(std::size_t key, const T&) const { ++counts[key * P + t]; }
     void prefetch(std::size_t) const {}
   };
-  emit(Count{s.counts.data(), P, t});
+  emit(Count{counts, P, t});
   ctx.barrier();
-  const std::uint64_t total =
-      prefix_sum_in_region(ctx, std::span<std::uint64_t>(s.counts), s.scan);
-  for_range(ctx, num_keys, [&](std::size_t k) { key_offsets[k] = s.counts[k * P]; });
+  const std::uint64_t total = prefix_sum_in_region(
+      ctx, std::span<std::uint64_t>(counts, num_counts), s.scan);
+  for_range(ctx, num_keys, [&](std::size_t k) { key_offsets[k] = counts[k * P]; });
   if (t == 0) {
     key_offsets[num_keys] = total;
     out.resize(total);
@@ -79,7 +91,7 @@ void bucket_scatter_in_region(TeamCtx& ctx, std::size_t num_keys, Emit&& emit,
       __builtin_prefetch(&out[counts[key * P + t]], 1);
     }
   };
-  emit(Scatter{out, s.counts.data(), P, t});
+  emit(Scatter{out, counts, P, t});
   ctx.barrier();
 }
 

@@ -6,6 +6,7 @@
 // bit-identical to the canonicalized uncompressed solve at p in {1,2,4,8}.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -17,6 +18,7 @@
 #include "core/msf.hpp"
 #include "graph/compressed_csr.hpp"
 #include "graph/generators.hpp"
+#include "graph/validate.hpp"
 #include "pprim/machine.hpp"
 #include "pprim/tuning.hpp"
 #include "pprim/varint.hpp"
@@ -195,6 +197,21 @@ TEST(CompressedCsr, DedupKeepsCanonicalParallelEdge) {
   EXPECT_EQ(kept[1], 3u);
   EXPECT_EQ(cz.weight(0), 2.0);
   EXPECT_EQ(cz.weight(1), 1.0);
+}
+
+TEST(CompressedCsr, DedupKeepsTheEdgesCanonicalizeKeeps) {
+  EdgeList g(40);
+  for (VertexId i = 0; i < 4000; ++i) {
+    const VertexId u = (i * 13) % 40, v = (i * 29 + 3) % 40;
+    if (u != v) g.edges.push_back({u, v, static_cast<Weight>(i % 5) - 2.0});
+  }
+  std::vector<EdgeId> kept, canon_kept;
+  const CompressedCsr cz = CompressedCsr::build(g, &kept);
+  canonicalize_parallel_edges(g, &canon_kept);
+  ASSERT_LT(canon_kept.size(), g.num_edges());
+  std::sort(kept.begin(), kept.end());
+  EXPECT_EQ(kept, canon_kept);
+  EXPECT_EQ(cz.num_edges(), canon_kept.size());
 }
 
 TEST(CompressedCsr, FileRoundTripIsExact) {

@@ -1,7 +1,11 @@
 // DIMACS-like text I/O: exact round-trip and malformed-input handling.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -119,6 +123,78 @@ TEST(GraphIO, FileRoundTrip) {
   EXPECT_EQ(h.num_vertices, g.num_vertices);
   EXPECT_EQ(h.num_edges(), g.num_edges());
   EXPECT_THROW(read_dimacs_file(path + ".does-not-exist"), std::runtime_error);
+}
+
+// --- .smpg reader: chunked bulk read ----------------------------------------
+
+constexpr std::size_t kHeaderBytes = 20;
+constexpr std::size_t kRecordBytes = 16;
+constexpr std::size_t kChunkEdges = std::size_t{1} << 20;  // the reader's chunk
+
+std::string smpg_bytes(const EdgeList& g) {
+  std::ostringstream os(std::ios::binary);
+  write_binary(os, g);
+  return os.str();
+}
+
+EdgeList read_smpg(const std::string& bytes, ParallelEdgePolicy policy) {
+  std::istringstream is(bytes, std::ios::binary);
+  return read_binary(is, policy);
+}
+
+std::string read_error(const std::string& bytes) {
+  try {
+    read_smpg(bytes, ParallelEdgePolicy::kKeepAll);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+// Two chunks' worth of records: the second chunk holds the last 5.
+EdgeList two_chunk_graph() {
+  EdgeList g(1000);
+  g.edges.reserve(kChunkEdges + 5);
+  for (std::size_t i = 0; i < kChunkEdges + 5; ++i) {
+    g.edges.push_back(WEdge{static_cast<VertexId>(i % 1000),
+                            static_cast<VertexId>((i * 7 + 1) % 1000),
+                            static_cast<Weight>(i % 977) - 300.5});
+  }
+  return g;
+}
+
+TEST(BinaryReader, HugeDeclaredCountOverShortBodyIsARuntimeError) {
+  EdgeList g(4);
+  g.add_edge(0, 1, 1.0);
+  g.add_edge(1, 2, 2.0);
+  g.add_edge(2, 3, 3.0);
+  std::string bytes = smpg_bytes(g);
+  const std::uint64_t declared = std::uint64_t{1} << 40;
+  std::memcpy(bytes.data() + 12, &declared, sizeof declared);
+  EXPECT_THROW(read_smpg(bytes, ParallelEdgePolicy::kCanonicalize),
+               std::runtime_error);
+  EXPECT_NE(read_error(bytes).find("truncated"), std::string::npos);
+}
+
+TEST(BinaryReader, RecordsCrossTheChunkBoundaryIntact) {
+  const EdgeList g = two_chunk_graph();
+  const EdgeList h = read_smpg(smpg_bytes(g), ParallelEdgePolicy::kKeepAll);
+  EXPECT_EQ(h.num_vertices, g.num_vertices);
+  EXPECT_EQ(h.edges, g.edges);
+}
+
+TEST(BinaryReader, OutOfRangeEndpointInSecondChunkThrows) {
+  std::string bytes = smpg_bytes(two_chunk_graph());
+  const VertexId bad = 1000;  // == num_vertices
+  std::memcpy(bytes.data() + kHeaderBytes + (kChunkEdges + 2) * kRecordBytes + 4,
+              &bad, sizeof bad);
+  EXPECT_NE(read_error(bytes).find("endpoint out of range"), std::string::npos);
+}
+
+TEST(BinaryReader, TruncationMidRecordInSecondChunkThrows) {
+  std::string bytes = smpg_bytes(two_chunk_graph());
+  bytes.resize(kHeaderBytes + (kChunkEdges + 2) * kRecordBytes + 7);
+  EXPECT_NE(read_error(bytes).find("truncated"), std::string::npos);
 }
 
 }  // namespace
