@@ -6,19 +6,22 @@
 //     through DynamicMsf and the index is rebuilt from the committed
 //     forest; the acceptance gate is rebuild_s <= 1.0 x apply_s (the index
 //     rides along with the solve it follows instead of dominating it).
+//   * index row: forest size, trees, build time, and the index's own heap
+//     (bytes, bytes_per_vertex; the forest edge list and ids not counted).
 //   * op rows: p50/p95/p99 over per-op wall times — pathmax/conn answered
-//     from the immutable index, cut split into cold (first call builds the
-//     dendrogram) and warm, topk scanning the live store with the SIMD
-//     argmin skim.
+//     from the immutable index, cut split into the first call and the
+//     rest, topk scanning the live store with the SIMD argmin skim.
 //   * identity row: every sampled pathmax answer is checked against a
-//     naive parent-pointer climb (independent of the skip tables) and conn
-//     against root comparison; any mismatch fails the bench.
+//     naive climb over a BFS rooting of the forest adjacency (independent
+//     of the index) and conn against the BFS trees; any mismatch fails the
+//     bench.
 //
 // --json writes BENCH_08.json.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <optional>
+#include <queue>
 #include <random>
 #include <vector>
 
@@ -117,19 +120,21 @@ int main(int argc, char** argv) {
   const query::ForestIndex idx(
       team, d.store(), std::span<const EdgeId>(d.forest_edge_ids()), version);
   const auto& st = idx.stats();
-  std::printf("  index: %zu forest edges, %zu components, depth %u, "
-              "%u levels, built in %.4f s\n",
-              st.num_forest_edges, st.num_components, st.max_depth, st.levels,
-              st.build_seconds);
+  const double bytes_per_vertex =
+      static_cast<double>(st.bytes) / static_cast<double>(n);
+  std::printf("  index: %zu forest edges, %zu components, %zu bytes "
+              "(%.1f B/vertex), built in %.4f s\n",
+              st.num_forest_edges, st.num_components, st.bytes,
+              bytes_per_vertex, st.build_seconds);
   {
     char rec[320];
     std::snprintf(
         rec, sizeof rec,
         "{\"tag\": \"query_index\", \"n\": %llu, \"forest_edges\": %zu, "
-        "\"components\": %zu, \"max_depth\": %u, \"levels\": %u, "
+        "\"components\": %zu, \"bytes\": %zu, \"bytes_per_vertex\": %.3f, "
         "\"build_s\": %.5f}",
         static_cast<unsigned long long>(n), st.num_forest_edges,
-        st.num_components, st.max_depth, st.levels, st.build_seconds);
+        st.num_components, st.bytes, bytes_per_vertex, st.build_seconds);
     sink.add(rec);
   }
 
@@ -173,8 +178,7 @@ int main(int argc, char** argv) {
     report_op(sink, "conn", n, std::move(lat));
   }
   {
-    // Cold = the first cut (pays the dendrogram build), then warm cuts
-    // across sweeping thresholds.
+    // Cold = the first cut, then warm cuts across sweeping thresholds.
     std::vector<double> cold(1);
     const auto t0 = Clock::now();
     volatile std::size_t k0 = idx.cut(0.5).num_clusters;
@@ -211,32 +215,45 @@ int main(int argc, char** argv) {
     report_op(sink, "topk10", n, std::move(lat));
   }
 
-  // --- identity: skip-table answers vs. a naive parent-pointer climb ---
-  // Parent-edge weight/id per vertex, recovered from the forest edge list
-  // (independent of the packed-key tables the fast path uses).
-  std::vector<Weight> pw(n, 0);
-  std::vector<EdgeId> pid(n, kInvalidEdge);
+  // --- identity: index answers vs. a BFS over the forest adjacency ---
+  // One BFS per tree roots the forest (parent, depth, parent edge) without
+  // touching the index; each pair is then checked by a naive climb.
+  std::vector<std::vector<std::pair<VertexId, std::size_t>>> adj(n);
   for (std::size_t i = 0; i < idx.num_forest_edges(); ++i) {
     const WEdge& e = idx.forest_edge(i);
-    const VertexId child = idx.parent(e.u) == e.v ? e.u : e.v;
-    pw[child] = e.w;
-    pid[child] = idx.forest_id(i);
+    adj[e.u].push_back({e.v, i});
+    adj[e.v].push_back({e.u, i});
+  }
+  std::vector<VertexId> parent(n, kInvalidVertex);
+  std::vector<VertexId> root(n);
+  std::vector<std::uint32_t> depth(n, 0);
+  std::vector<std::size_t> pedge(n);
+  for (VertexId r = 0; r < n; ++r) {
+    if (parent[r] != kInvalidVertex) continue;
+    parent[r] = r;
+    root[r] = r;
+    std::queue<VertexId> q;
+    q.push(r);
+    while (!q.empty()) {
+      const VertexId x = q.front();
+      q.pop();
+      for (const auto& [y, e] : adj[x]) {
+        if (parent[y] != kInvalidVertex) continue;
+        parent[y] = x;
+        root[y] = r;
+        depth[y] = depth[x] + 1;
+        pedge[y] = e;
+        q.push(y);
+      }
+    }
   }
   const std::size_t pairs = std::min<std::size_t>(q_ops, 2000);
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < pairs; ++i) {
     VertexId a = us[i], b = vs[i];
-    // Naive root check.
-    VertexId ra = a, rb = b;
-    while (idx.parent(ra) != ra) ra = idx.parent(ra);
-    while (idx.parent(rb) != rb) rb = idx.parent(rb);
-    const bool conn_naive = ra == rb;
-    if (conn_naive != idx.connected(a, b)) {
-      ++mismatches;
-      continue;
-    }
+    const bool conn_naive = root[a] == root[b];
     const auto pm = idx.path_max(a, b);
-    if (pm.connected != conn_naive) {
+    if (conn_naive != idx.connected(a, b) || pm.connected != conn_naive) {
       ++mismatches;
       continue;
     }
@@ -244,26 +261,21 @@ int main(int argc, char** argv) {
     Weight bw = 0;
     EdgeId bi = kInvalidEdge;
     bool has = false;
-    const auto consider = [&](VertexId x) {
-      if (!has || pw[x] > bw || (pw[x] == bw && pid[x] > bi)) {
-        bw = pw[x];
-        bi = pid[x];
+    const auto climb = [&](VertexId& x) {
+      const Weight w = idx.forest_edge(pedge[x]).w;
+      const EdgeId id = idx.forest_id(pedge[x]);
+      if (!has || w > bw || (w == bw && id > bi)) {
+        bw = w;
+        bi = id;
         has = true;
       }
+      x = parent[x];
     };
-    while (idx.depth(a) > idx.depth(b)) {
-      consider(a);
-      a = idx.parent(a);
-    }
-    while (idx.depth(b) > idx.depth(a)) {
-      consider(b);
-      b = idx.parent(b);
-    }
+    while (depth[a] > depth[b]) climb(a);
+    while (depth[b] > depth[a]) climb(b);
     while (a != b) {
-      consider(a);
-      consider(b);
-      a = idx.parent(a);
-      b = idx.parent(b);
+      climb(a);
+      climb(b);
     }
     if (pm.edge_id != bi || pm.weight != bw) ++mismatches;
   }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/verify_msf.hpp"
+#include "core/path_max.hpp"
 #include "graph/types.hpp"
 #include "pprim/cacheline.hpp"
 #include "pprim/partition.hpp"
@@ -71,15 +71,19 @@ std::vector<EdgeId> solve(ThreadTeam& team, const EdgeList& g,
   std::vector<WEdge> forest_edges;
   forest_edges.reserve(forest_ids.size());
   for (const EdgeId i : forest_ids) forest_edges.push_back(g.edges[i]);
-  const ForestPathMax fpm(g.num_vertices, forest_edges, forest_ids);
+  const ForestArrangement arr(team, g.num_vertices, forest_edges, forest_ids);
+  const auto f_light = [&](EdgeId i) {
+    const auto& e = g.edges[i];
+    const std::uint32_t pm = arr.path_max(e.u, e.v);
+    return pm == ForestArrangement::kNone ||
+           WeightOrder{e.w, i} < WeightOrder{forest_edges[pm].w, forest_ids[pm]};
+  };
 
-  std::vector<EdgeId> keep = std::move(forest_ids);
+  std::vector<EdgeId> keep = forest_ids;
   const std::size_t nu = unsampled.size();
   if (team.size() == 1 || nu < 8192) {
     for (const EdgeId i : unsampled) {
-      const auto& e = g.edges[i];
-      const auto pm = fpm.path_max(e.u, e.v);
-      if (!pm || WeightOrder{e.w, i} < *pm) keep.push_back(i);
+      if (f_light(i)) keep.push_back(i);
     }
   } else {
     std::vector<Padded<std::vector<EdgeId>>> local(
@@ -88,10 +92,7 @@ std::vector<EdgeId> solve(ThreadTeam& team, const EdgeList& g,
       auto& mine = local[static_cast<std::size_t>(ctx.tid())].value;
       const IndexRange r = block_range(nu, ctx.tid(), ctx.nthreads());
       for (std::size_t j = r.begin; j < r.end; ++j) {
-        const EdgeId i = unsampled[j];
-        const auto& e = g.edges[i];
-        const auto pm = fpm.path_max(e.u, e.v);
-        if (!pm || WeightOrder{e.w, i} < *pm) mine.push_back(i);
+        if (f_light(unsampled[j])) mine.push_back(unsampled[j]);
       }
     });
     for (auto& l : local) {

@@ -14,8 +14,8 @@ namespace smp::core {
 /// the heavy edges to F and excludes them from the final MST").
 ///
 /// Recursion: flip a coin per edge; compute the MSF F of the sampled half;
-/// drop every unsampled edge that is F-heavy (checked with ForestPathMax in
-/// a parallel pass); solve the survivors — in expectation only O(n) of them
+/// drop every unsampled edge that is F-heavy (checked with a ForestArrangement
+/// in a parallel pass); solve the survivors — in expectation only O(n) of them
 /// — with Kruskal.  Randomness affects only the running time, never the
 /// result: the returned forest is the unique MSF under WeightOrder.
 graph::MsfResult sample_filter_msf(ThreadTeam& team, const graph::EdgeList& g,

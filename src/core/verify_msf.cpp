@@ -1,136 +1,17 @@
 #include "core/verify_msf.hpp"
 
-#include <algorithm>
-#include <limits>
 #include <unordered_set>
-#include <vector>
 
+#include "core/path_max.hpp"
 #include "graph/validate.hpp"
+#include "pprim/thread_team.hpp"
 
 namespace smp::core {
 
 using graph::EdgeId;
 using graph::EdgeList;
-using graph::kInvalidVertex;
 using graph::MsfResult;
-using graph::VertexId;
-using graph::WEdge;
-using graph::Weight;
 using graph::WeightOrder;
-
-namespace {
-
-constexpr WeightOrder kMinusInf{-std::numeric_limits<Weight>::infinity(), 0};
-
-WeightOrder max_order(const WeightOrder& a, const WeightOrder& b) {
-  return a < b ? b : a;
-}
-
-}  // namespace
-
-ForestPathMax::ForestPathMax(VertexId n, std::span<const WEdge> edges,
-                             std::span<const EdgeId> ids)
-    : comp_(n, kInvalidVertex), depth_(n, 0), n_(n) {
-  // Forest adjacency (arc -> (target, order)).
-  struct Arc {
-    VertexId to;
-    WeightOrder order;
-  };
-  std::vector<std::uint32_t> off(static_cast<std::size_t>(n) + 1, 0);
-  for (const auto& e : edges) {
-    ++off[e.u + 1];
-    ++off[e.v + 1];
-  }
-  for (std::size_t i = 1; i < off.size(); ++i) off[i] += off[i - 1];
-  std::vector<Arc> arcs(edges.size() * 2);
-  {
-    std::vector<std::uint32_t> cur(off.begin(), off.end() - 1);
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      const WeightOrder ord{edges[i].w, ids[i]};
-      arcs[cur[edges[i].u]++] = {edges[i].v, ord};
-      arcs[cur[edges[i].v]++] = {edges[i].u, ord};
-    }
-  }
-
-  // Root every tree (iterative DFS); level-0 lifting tables.
-  std::vector<VertexId> parent(n);
-  std::vector<WeightOrder> parent_edge(n, kMinusInf);
-  std::uint32_t max_depth = 0;
-  std::vector<VertexId> stack;
-  for (VertexId root = 0; root < n; ++root) {
-    if (comp_[root] != kInvalidVertex) continue;
-    comp_[root] = root;
-    parent[root] = root;
-    depth_[root] = 0;
-    stack.push_back(root);
-    while (!stack.empty()) {
-      const VertexId x = stack.back();
-      stack.pop_back();
-      for (std::uint32_t a = off[x]; a < off[x + 1]; ++a) {
-        const VertexId y = arcs[a].to;
-        if (comp_[y] != kInvalidVertex) continue;
-        comp_[y] = root;
-        parent[y] = x;
-        parent_edge[y] = arcs[a].order;
-        depth_[y] = depth_[x] + 1;
-        max_depth = std::max(max_depth, depth_[y]);
-        stack.push_back(y);
-      }
-    }
-  }
-
-  levels_ = 1;
-  while ((std::uint32_t{1} << levels_) <= max_depth) ++levels_;
-  up_.resize(static_cast<std::size_t>(levels_) * n);
-  upmax_.resize(static_cast<std::size_t>(levels_) * n);
-  for (VertexId v = 0; v < n; ++v) {
-    up_[v] = parent[v];
-    upmax_[v] = parent[v] == v ? kMinusInf : parent_edge[v];
-  }
-  for (int k = 1; k < levels_; ++k) {
-    const std::size_t cur = static_cast<std::size_t>(k) * n;
-    const std::size_t prev = cur - n;
-    for (VertexId v = 0; v < n; ++v) {
-      const VertexId mid = up_[prev + v];
-      up_[cur + v] = up_[prev + mid];
-      upmax_[cur + v] = max_order(upmax_[prev + v], upmax_[prev + mid]);
-    }
-  }
-}
-
-WeightOrder ForestPathMax::lift(VertexId& v, std::uint32_t target_depth,
-                                WeightOrder acc) const {
-  std::uint32_t diff = depth_[v] - target_depth;
-  for (int k = 0; diff != 0; ++k, diff >>= 1) {
-    if (diff & 1u) {
-      acc = max_order(acc, upmax_[static_cast<std::size_t>(k) * n_ + v]);
-      v = up_[static_cast<std::size_t>(k) * n_ + v];
-    }
-  }
-  return acc;
-}
-
-std::optional<WeightOrder> ForestPathMax::path_max(VertexId u, VertexId v) const {
-  if (u == v || comp_[u] != comp_[v] || comp_[u] == kInvalidVertex) {
-    return std::nullopt;
-  }
-  WeightOrder acc = kMinusInf;
-  const std::uint32_t d = std::min(depth_[u], depth_[v]);
-  acc = lift(u, d, acc);
-  acc = lift(v, d, acc);
-  if (u == v) return acc;
-  // Binary-search the LCA from the top level down.
-  for (int k = levels_ - 1; k >= 0; --k) {
-    const std::size_t base = static_cast<std::size_t>(k) * n_;
-    if (up_[base + u] != up_[base + v]) {
-      acc = max_order(acc, max_order(upmax_[base + u], upmax_[base + v]));
-      u = up_[base + u];
-      v = up_[base + v];
-    }
-  }
-  acc = max_order(acc, max_order(upmax_[u], upmax_[v]));
-  return acc;
-}
 
 bool verify_msf(const EdgeList& g, const MsfResult& msf, std::string* error) {
   const auto fail = [&](const std::string& msg) {
@@ -144,18 +25,19 @@ bool verify_msf(const EdgeList& g, const MsfResult& msf, std::string* error) {
   const auto structural = graph::validate_spanning_forest(g, msf.edges);
   if (!structural.ok) return fail(structural.error);
 
-  ForestPathMax fpm(g.num_vertices, msf.edges, msf.edge_ids);
+  ThreadTeam team(1);
+  const ForestArrangement arr(team, g.num_vertices, msf.edges, msf.edge_ids);
   std::unordered_set<EdgeId> in_forest(msf.edge_ids.begin(), msf.edge_ids.end());
   for (EdgeId i = 0; i < g.edges.size(); ++i) {
     if (in_forest.contains(i)) continue;
     const auto& e = g.edges[i];
     if (e.u == e.v) continue;
-    const auto pm = fpm.path_max(e.u, e.v);
-    if (!pm) {
+    const std::uint32_t pm = arr.path_max(e.u, e.v);
+    if (pm == ForestArrangement::kNone) {
       // Maximality already passed, so endpoints must share a tree.
       return fail("non-forest edge bridges two trees: forest not maximal");
     }
-    if (WeightOrder{e.w, i} < *pm) {
+    if (WeightOrder{e.w, i} < WeightOrder{msf.edges[pm].w, msf.edge_ids[pm]}) {
       return fail("cycle property violated: edge #" + std::to_string(i) +
                   " is lighter than the heaviest forest edge on its path");
     }

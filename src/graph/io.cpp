@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstddef>
 #include <cstring>
@@ -12,8 +13,8 @@
 #include <istream>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <type_traits>
 
 namespace smp::graph {
@@ -54,23 +55,54 @@ void write_dimacs_file(const std::string& path, const EdgeList& g) {
   write_dimacs(os, g);
 }
 
+namespace {
+
+bool is_space(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// Fields of one DIMACS line, read the way istream extraction reads them:
+/// leading whitespace is skipped and a number ends at the first character
+/// that cannot continue it (what follows the last field is ignored).
+struct LineFields {
+  const char* p;
+  const char* end;
+
+  void skip_space() {
+    while (p < end && is_space(*p)) ++p;
+  }
+  std::string_view word() {
+    skip_space();
+    const char* b = p;
+    while (p < end && !is_space(*p)) ++p;
+    return {b, static_cast<std::size_t>(p - b)};
+  }
+  template <typename T>
+  bool number(T& out) {
+    skip_space();
+    if (end - p > 1 && *p == '+' && p[1] != '-') ++p;
+    const auto [q, ec] = std::from_chars(p, end, out);
+    p = q;
+    return ec == std::errc();
+  }
+};
+
+}  // namespace
+
 EdgeList read_dimacs(std::istream& is, ParallelEdgePolicy policy) {
   EdgeList g;
   bool have_header = false;
   EdgeId declared_edges = 0;
-  std::string line;
   std::size_t lineno = 0;
-  while (std::getline(is, line)) {
+  const auto parse_line = [&](const char* begin, const char* end) {
     ++lineno;
-    if (line.empty() || line[0] == 'c') continue;
-    std::istringstream ls(line);
-    char tag = 0;
-    ls >> tag;
+    if (begin == end || *begin == 'c') return;
+    LineFields f{begin, end};
+    f.skip_space();
+    const char tag = f.p < end ? *f.p++ : '\0';
     if (tag == 'p') {
-      std::string fmt;
       VertexId n = 0;
-      ls >> fmt >> n >> declared_edges;
-      if (!ls || fmt != "edge") {
+      if (f.word() != "edge" || !f.number(n) || !f.number(declared_edges)) {
         throw std::runtime_error("read_dimacs: bad problem line at line " +
                                  std::to_string(lineno));
       }
@@ -81,8 +113,8 @@ EdgeList read_dimacs(std::istream& is, ParallelEdgePolicy policy) {
       if (!have_header) throw std::runtime_error("read_dimacs: edge before problem line");
       VertexId u = 0, v = 0;
       Weight w = 0;
-      ls >> u >> v >> w;
-      if (!ls || u == 0 || v == 0 || u > g.num_vertices || v > g.num_vertices) {
+      if (!f.number(u) || !f.number(v) || !f.number(w) || u == 0 || v == 0 ||
+          u > g.num_vertices || v > g.num_vertices) {
         throw std::runtime_error("read_dimacs: bad edge at line " + std::to_string(lineno));
       }
       // A nan weight poisons every comparison (and the tie-breaking
@@ -96,6 +128,32 @@ EdgeList read_dimacs(std::istream& is, ParallelEdgePolicy policy) {
       throw std::runtime_error("read_dimacs: unknown line tag at line " +
                                std::to_string(lineno));
     }
+  };
+
+  // Chunked read: parse every complete line in the buffer, carry the
+  // partial last line to the front, refill behind it.  A buffer holding no
+  // complete line doubles.
+  std::vector<char> buf(kDimacsChunkBytes);
+  std::size_t have = 0;
+  for (;;) {
+    is.read(buf.data() + have, static_cast<std::streamsize>(buf.size() - have));
+    have += static_cast<std::size_t>(is.gcount());
+    const bool at_end = !is;
+    const char* line = buf.data();
+    const char* const filled = buf.data() + have;
+    while (const void* nl = std::memchr(
+               line, '\n', static_cast<std::size_t>(filled - line))) {
+      const char* eol = static_cast<const char*>(nl);
+      parse_line(line, eol);
+      line = eol + 1;
+    }
+    if (at_end) {
+      if (line != filled) parse_line(line, filled);
+      break;
+    }
+    have = static_cast<std::size_t>(filled - line);
+    std::memmove(buf.data(), line, have);
+    if (have == buf.size()) buf.resize(2 * buf.size());
   }
   if (!have_header) throw std::runtime_error("read_dimacs: missing problem line");
   if (g.num_edges() != declared_edges) {

@@ -4,50 +4,35 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
 
-#include "core/dendrogram.hpp"
+#include "core/path_max.hpp"
 #include "dynamic/edge_store.hpp"
 #include "graph/types.hpp"
 #include "pprim/thread_team.hpp"
 
 namespace smp::query {
 
-/// Immutable Euler-tour topology index over one committed version of a
-/// maintained forest — the query engine the serving layer answers pathmax /
-/// conn / cut / topk from, and the substrate the polylog dynamic-deletion
-/// line (Holm–Rotenberg–Wulff-Nilsen; ROADMAP) will search replacement
-/// edges on.
+/// Immutable path-max index over one committed version of a maintained
+/// forest: the query engine the serving layer answers pathmax / conn / cut
+/// / topk from.
 ///
-/// Built in parallel on the solver ThreadTeam from the forest edge list:
+/// The forest edges are held ascending by store id, so an edge's position
+/// is its WeightOrder tie-break, and the index is one core::ForestArrangement
+/// over them (the Kruskal arrangement: rank order, a union that places
+/// runs of positions side by side, per-vertex position and tree label,
+/// gap ranks and a block sparse table; see core/path_max.hpp).  pathmax and conn are O(1); cut is one binary
+/// search plus one linear pass; the whole index is O(n) words, about 17
+/// bytes per vertex beyond the forest edge list and ids.  Those two arrays
+/// are held by shared_ptr, so a serving snapshot and its index share them.
 ///
-///   1. forest edges gathered ascending by store id, so the position of an
-///      edge in the index IS its WeightOrder tie-break rank order input —
-///      core::build_weight_ranks then yields a 32-bit *weight rank* per
-///      forest edge whose unsigned order equals ⟨weight, store-id⟩ exactly
-///      (the find_min packed-key scheme of PR 5, reused verbatim);
-///   2. a CSR adjacency over the 2·m_f forest arcs (stable counting sort,
-///      so child order is deterministic and thread-count independent);
-///   3. deterministic component labels (core::connected_components) and
-///      per-component roots (minimum vertex id of the component);
-///   4. an Euler/DFS tour: preorder vertex sequence with each component
-///      contiguous, entry/exit positions (tin/tout: the subtree of v is
-///      tour[tin(v), tout(v))), parent pointers, depths, and the packed
-///      ⟨rank, forest-position⟩ key of each vertex's parent edge;
-///   5. skip-level (binary-lifting) ancestor + path-max tables over the
-///      packed keys, so one unsigned uint64 max along a path is the full
-///      WeightOrder bottleneck comparison.
-///
-/// The whole object is immutable after construction (the lazily built
-/// dendrogram for cut() is memoized under an internal mutex); readers on
-/// any number of threads may query one instance concurrently.  Consistency
-/// with the live session state is the serving layer's job: each index
-/// carries the session `version` it was built from, and ServiceCore swaps
-/// whole instances via shared_ptr so a query never observes a half-built
-/// index.
+/// The object is immutable after construction; readers on any number of
+/// threads may query one instance concurrently.  Consistency with the live
+/// session state is the serving layer's job: each index carries the session
+/// `version` it was built from, and ServiceCore swaps whole instances via
+/// shared_ptr so a query never observes a half-built index.
 class ForestIndex {
  public:
   struct Stats {
@@ -55,8 +40,9 @@ class ForestIndex {
     graph::VertexId num_vertices = 0;
     std::size_t num_forest_edges = 0;
     std::size_t num_components = 0;
-    std::uint32_t max_depth = 0;
-    std::uint32_t levels = 0;
+    /// Heap bytes of the path-max structure, not counting the forest edge
+    /// list and ids (which a serving snapshot shares with its index).
+    std::size_t bytes = 0;
     double build_seconds = 0;
   };
 
@@ -103,6 +89,12 @@ class ForestIndex {
               std::vector<graph::WEdge> fedges,
               std::vector<graph::EdgeId> fids, std::uint64_t version);
 
+  /// Same, sharing the caller's arrays instead of taking copies.
+  ForestIndex(ThreadTeam& team, graph::VertexId num_vertices,
+              std::shared_ptr<const std::vector<graph::WEdge>> fedges,
+              std::shared_ptr<const std::vector<graph::EdgeId>> fids,
+              std::uint64_t version);
+
   [[nodiscard]] std::uint64_t version() const { return stats_.version; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] std::chrono::steady_clock::time_point built_at() const {
@@ -111,16 +103,16 @@ class ForestIndex {
 
   /// O(1): same tree of the forest?
   [[nodiscard]] bool connected(graph::VertexId u, graph::VertexId v) const {
-    return comp_[u] == comp_[v];
+    return arr_.connected(u, v);
   }
 
-  /// O(log n) bottleneck edge on the forest path (see PathMax).
+  /// O(1) bottleneck edge on the forest path (see PathMax).
   [[nodiscard]] PathMax path_max(graph::VertexId u, graph::VertexId v) const;
 
   /// Single-linkage clustering at threshold (edges with weight <= threshold
-  /// merge).  Memoizes the dendrogram on first use.  If `labels` is
-  /// non-null it receives the per-vertex cluster labels (dense, numbered by
-  /// first occurrence — deterministic).
+  /// merge), in O(n).  If `labels` is non-null it receives the per-vertex
+  /// cluster labels (dense, numbered by first occurrence — deterministic,
+  /// and identical to core::Dendrogram::cut_at's).
   [[nodiscard]] Cut cut(graph::Weight threshold,
                         std::vector<graph::VertexId>* labels = nullptr) const;
 
@@ -149,60 +141,27 @@ class ForestIndex {
   [[nodiscard]] graph::VertexId num_vertices() const {
     return stats_.num_vertices;
   }
-  [[nodiscard]] std::size_t num_forest_edges() const { return fedges_.size(); }
+  [[nodiscard]] std::size_t num_forest_edges() const { return fedges_->size(); }
   [[nodiscard]] const graph::WEdge& forest_edge(std::size_t i) const {
-    return fedges_[i];
+    return (*fedges_)[i];
   }
   [[nodiscard]] graph::EdgeId forest_id(std::size_t i) const {
-    return fids_[i];
+    return (*fids_)[i];
   }
+  /// Tree label, dense and numbered by the smallest vertex of each tree.
   [[nodiscard]] graph::VertexId component(graph::VertexId v) const {
-    return comp_[v];
-  }
-  [[nodiscard]] graph::VertexId parent(graph::VertexId v) const {
-    return parent_[v];
-  }
-  [[nodiscard]] std::uint32_t depth(graph::VertexId v) const {
-    return depth_[v];
-  }
-  [[nodiscard]] std::uint32_t tin(graph::VertexId v) const { return tin_[v]; }
-  [[nodiscard]] std::uint32_t tout(graph::VertexId v) const { return tout_[v]; }
-  [[nodiscard]] const std::vector<graph::VertexId>& tour() const {
-    return tour_;
+    return arr_.component(v);
   }
 
  private:
-  /// Shared build phases 2–5; fedges_/fids_/stats_.version already set.
-  void build(ThreadTeam& team, graph::VertexId num_vertices,
-             std::chrono::steady_clock::time_point t0);
-
-  [[nodiscard]] const core::Dendrogram& dendrogram() const;
-
   Stats stats_;
   std::chrono::steady_clock::time_point built_at_;
 
-  // Forest edges ascending by store id; position is the packed-key index.
-  std::vector<graph::WEdge> fedges_;
-  std::vector<graph::EdgeId> fids_;
-
-  // Per-vertex topology.
-  std::vector<graph::VertexId> comp_;    ///< dense component label
-  std::vector<graph::VertexId> parent_;  ///< roots point at themselves
-  std::vector<std::uint32_t> depth_;
-  std::vector<std::uint64_t> pkey_;  ///< packed key of parent edge; 0 at roots
-  std::vector<graph::VertexId> tour_;
-  std::vector<std::uint32_t> tin_;
-  std::vector<std::uint32_t> tout_;
-
-  // Level-major skip tables: up_[k * n + v] jumps 2^k ancestors;
-  // upkey_[k * n + v] is the packed max key along that jump.
-  std::uint32_t levels_ = 0;
-  std::vector<graph::VertexId> up_;
-  std::vector<std::uint64_t> upkey_;
-
-  // Lazily built single-linkage dendrogram for cut().
-  mutable std::mutex dend_mu_;
-  mutable std::unique_ptr<core::Dendrogram> dend_;
+  // Forest edges ascending by store id; position is the arrangement's
+  // edge index.
+  std::shared_ptr<const std::vector<graph::WEdge>> fedges_;
+  std::shared_ptr<const std::vector<graph::EdgeId>> fids_;
+  core::ForestArrangement arr_;
 };
 
 /// Order-sensitive FNV-1a over a label sequence — the digest cut() reports.

@@ -25,7 +25,8 @@ std::string histogram_json(const Histogram& h) {
 
 std::string MetricsRegistry::to_json(
     std::size_t queue_capacity, double uptime_s,
-    const std::vector<std::uint64_t>& shard_depths) const {
+    const std::vector<std::uint64_t>& shard_depths,
+    const IndexMemory& index_memory) const {
   const auto u64 = [](const std::atomic<std::uint64_t>& a) {
     return a.load(std::memory_order_relaxed);
   };
@@ -86,8 +87,10 @@ std::string MetricsRegistry::to_json(
   std::snprintf(buf, sizeof buf,
                 ", \"query_index\": {\"rebuilds\": %" PRIu64
                 ", \"hits\": %" PRIu64 ", \"misses\": %" PRIu64
+                ", \"bytes_latest\": %" PRIu64 ", \"bytes_retained\": %" PRIu64
                 ", \"rebuild_us\": ",
-                u64(index_rebuilds), u64(index_hits), u64(index_misses));
+                u64(index_rebuilds), u64(index_hits), u64(index_misses),
+                index_memory.latest_bytes, index_memory.retained_bytes);
   json += buf;
   json += histogram_json(index_rebuild_us) + "}";
   json += ", \"ops\": {";

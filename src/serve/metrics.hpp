@@ -13,6 +13,14 @@
 
 namespace smp::serve {
 
+/// Heap held by built query indexes (ForestIndex::Stats::bytes), summed
+/// over sessions: the latest epoch's index, and every epoch the ring
+/// retains.  Gathered from the sessions when `stats` runs.
+struct IndexMemory {
+  std::uint64_t latest_bytes = 0;
+  std::uint64_t retained_bytes = 0;
+};
+
 /// Per-op serving metrics: end-to-end latency (submission to completion,
 /// microseconds — queue wait included, because that is what a client
 /// experiences) plus completion and error counts.
@@ -147,10 +155,12 @@ class MetricsRegistry {
   /// queue depths, coalescing stats, serving-lane counters and per-op
   /// latency percentiles (p50/p95/p99/max, microseconds).  Ops that never
   /// completed are omitted.  `shard_depths` holds each shard queue's
-  /// current depth (one entry for the unsharded configuration).
+  /// current depth (one entry for the unsharded configuration);
+  /// `index_memory` goes into the query_index section.
   [[nodiscard]] std::string to_json(
       std::size_t queue_capacity, double uptime_s,
-      const std::vector<std::uint64_t>& shard_depths = {}) const;
+      const std::vector<std::uint64_t>& shard_depths = {},
+      const IndexMemory& index_memory = {}) const;
 };
 
 }  // namespace smp::serve

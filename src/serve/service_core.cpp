@@ -468,7 +468,22 @@ std::string ServiceCore::stats_json() const {
   std::vector<std::uint64_t> depths;
   depths.reserve(shards_.size());
   for (const auto& shard : shards_) depths.push_back(shard->queue->size());
-  return metrics_.to_json(opts_.queue_capacity, uptime, depths);
+  IndexMemory mem;
+  {
+    std::lock_guard<std::mutex> lk(sessions_mu_);
+    for (const auto& [name, s] : sessions_) {
+      std::lock_guard<std::mutex> slk(s->snap_mu);
+      for (const auto& snap : s->snaps) {
+        // An index still being built is not counted yet.
+        std::unique_lock<std::mutex> ilk(snap->index_mu, std::try_to_lock);
+        if (!ilk.owns_lock() || snap->index == nullptr) continue;
+        const std::uint64_t b = snap->index->stats().bytes;
+        mem.retained_bytes += b;
+        if (snap == s->snaps.back()) mem.latest_bytes += b;
+      }
+    }
+  }
+  return metrics_.to_json(opts_.queue_capacity, uptime, depths, mem);
 }
 
 void ServiceCore::dispatcher_loop(Shard& shard) {
@@ -627,24 +642,24 @@ std::shared_ptr<const query::ForestIndex> ServiceCore::snapshot_index(
   // find the published index under the same mutex.
   std::lock_guard<std::mutex> lk(snap.index_mu);
   if (snap.index != nullptr) return snap.index;
-  std::vector<WEdge> fedges = *snapshot_forest_edges(snap);
-  std::vector<EdgeId> fids = snap.data->forest_ids;
+  // The index shares the snapshot's forest arrays instead of copying them.
+  const auto fedges = snapshot_forest_edges(snap);
+  const std::shared_ptr<const std::vector<EdgeId>> fids(snap.data,
+                                                        &snap.data->forest_ids);
   std::shared_ptr<const query::ForestIndex> idx;
   if (eager) {
     // Flusher path (exclusive state lock held): build in parallel on the
     // session's shard team.
     std::lock_guard<std::mutex> solver(s.home->solver_mu);
     idx = std::make_shared<query::ForestIndex>(
-        *s.home->team, snap.data->live.num_vertices, std::move(fedges),
-        std::move(fids), snap.epoch);
+        *s.home->team, snap.data->live.num_vertices, fedges, fids, snap.epoch);
   } else {
     // Read path: build inline on the calling thread — a ThreadTeam of one
     // runs regions in place with zero threading overhead, and the shard
     // team stays free for solves.
     ThreadTeam local(1);
     idx = std::make_shared<query::ForestIndex>(
-        local, snap.data->live.num_vertices, std::move(fedges),
-        std::move(fids), snap.epoch);
+        local, snap.data->live.num_vertices, fedges, fids, snap.epoch);
   }
   snap.index = idx;
   s.index_rebuilds.fetch_add(1, std::memory_order_relaxed);

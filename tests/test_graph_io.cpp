@@ -125,6 +125,103 @@ TEST(GraphIO, FileRoundTrip) {
   EXPECT_THROW(read_dimacs_file(path + ".does-not-exist"), std::runtime_error);
 }
 
+// --- DIMACS reader: chunked parse ------------------------------------------
+
+/// "e u v w\n" lines cycling over the edges of a 3-vertex triangle, enough
+/// of them that the text runs past the first read chunk.
+std::string chunk_filler(std::size_t lines) {
+  std::string text;
+  for (std::size_t i = 0; i < lines; ++i) {
+    text += "e " + std::to_string(1 + i % 3) + " " +
+            std::to_string(1 + (i + 1) % 3) + " 0.25\n";
+  }
+  return text;
+}
+
+/// Throws from read_dimacs and returns the message.
+std::string dimacs_error(const std::string& text) {
+  std::istringstream is(text);
+  try {
+    (void)read_dimacs(is, ParallelEdgePolicy::kKeepAll);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(DimacsReader, LineSplitAcrossChunkBoundary) {
+  // The edge line "e 2 3 0.123456789012345" starts 7 bytes before the end
+  // of the first chunk, so both the vertex ids and the weight straddle it.
+  const std::string header = "p edge 3 3\n";
+  const std::string split = "e 2 3 0.123456789012345\n";
+  const std::size_t pad = kDimacsChunkBytes - 7 - header.size() - 3;
+  const std::string text = header + "c " + std::string(pad, 'x') + "\n" +
+                           split + "e 1 2 5\ne 3 1 -0.5";
+  ASSERT_EQ(text.find(split), kDimacsChunkBytes - 7);
+  std::istringstream is(text);
+  const EdgeList g = read_dimacs(is, ParallelEdgePolicy::kKeepAll);
+  ASSERT_EQ(g.num_edges(), 3u);
+  EXPECT_EQ(g.edges[0].u, 1u);
+  EXPECT_EQ(g.edges[0].v, 2u);
+  EXPECT_EQ(g.edges[0].w, 0.123456789012345);
+  EXPECT_EQ(g.edges[1].w, 5.0);
+  EXPECT_EQ(g.edges[2].w, -0.5);  // last line has no newline
+}
+
+TEST(DimacsReader, LineLongerThanAChunk) {
+  const std::string text = "c " + std::string(kDimacsChunkBytes + 100, 'y') +
+                           "\np edge 2 1\ne 1 2 " +
+                           std::string(kDimacsChunkBytes, ' ') + "7.5\n";
+  std::istringstream is(text);
+  const EdgeList g = read_dimacs(is);
+  ASSERT_EQ(g.num_edges(), 1u);
+  EXPECT_EQ(g.edges[0].w, 7.5);
+}
+
+TEST(DimacsReader, ManyChunksMatchTheEdgeList) {
+  const EdgeList g = random_graph(3000, 120000, 8);  // about 3.5 MB of text
+  std::stringstream ss;
+  write_dimacs(ss, g);
+  ASSERT_GT(ss.str().size(), 3 * kDimacsChunkBytes);
+  const EdgeList h = read_dimacs(ss, ParallelEdgePolicy::kKeepAll);
+  ASSERT_EQ(h.num_edges(), g.num_edges());
+  for (std::size_t i = 0; i < g.edges.size(); ++i) {
+    ASSERT_EQ(h.edges[i].u, g.edges[i].u) << i;
+    ASSERT_EQ(h.edges[i].v, g.edges[i].v) << i;
+    ASSERT_EQ(h.edges[i].w, g.edges[i].w) << i;
+  }
+}
+
+TEST(DimacsReader, ErrorsInTheSecondChunkNameTheirLine) {
+  // 120 000 lines of 11 bytes: line 100 002 lies past the first chunk.
+  const std::size_t lines = 120000;
+  const std::string head = "p edge 3 " + std::to_string(lines) + "\n";
+  const std::string body = chunk_filler(lines);
+  const std::size_t bad_line = 100002;  // header is line 1
+  ASSERT_GT(head.size() + 11 * (bad_line - 2), kDimacsChunkBytes);
+  const auto with_line = [&](const std::string& line) {
+    std::string text = head + body;
+    const std::size_t at = head.size() + 11 * (bad_line - 2);
+    text.replace(at, 11, line);
+    return text;
+  };
+  const std::string at = " at line " + std::to_string(bad_line);
+  EXPECT_EQ(dimacs_error(with_line("q 1 2 0.25\n")),
+            "read_dimacs: unknown line tag" + at);
+  EXPECT_EQ(dimacs_error(with_line("e 1 9 0.25\n")),
+            "read_dimacs: bad edge" + at);
+  EXPECT_EQ(dimacs_error(with_line("e 1 2 x.25\n")),
+            "read_dimacs: bad edge" + at);
+  EXPECT_EQ(dimacs_error(with_line("e 1 2 nan \n")),
+            "read_dimacs: non-finite weight" + at);
+  EXPECT_EQ(dimacs_error(with_line("p edge 3 x\n")),
+            "read_dimacs: bad problem line" + at);
+  // One line short of the declared count, the file ending mid-chunk.
+  EXPECT_EQ(dimacs_error(with_line("c  comment\n")),
+            "read_dimacs: edge count mismatch");
+  EXPECT_EQ(dimacs_error(with_line("e 1 2 0.25\n")), "no error");
+}
+
 // --- .smpg reader: chunked bulk read ----------------------------------------
 
 constexpr std::size_t kHeaderBytes = 20;

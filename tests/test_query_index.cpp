@@ -1,9 +1,10 @@
 // ForestIndex: randomized property tests against brute force.  Path-max is
 // checked against a BFS walk over the forest adjacency (independent of the
-// skip tables), connectivity against a union-find over the live edges, cut
-// against a union-find restricted to edges with weight <= lambda, and topk
-// against a full sort of the live store — across thread counts, after
-// apply_batch refreshes, and on disconnected inputs.
+// index), connectivity against a union-find over the live edges, cut
+// against a union-find restricted to edges with weight <= lambda and against
+// core::Dendrogram's labels, and topk against a full sort of the live store
+// — across thread counts, after apply_batch refreshes, and on disconnected
+// inputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "core/dendrogram.hpp"
 #include "dynamic/dynamic_msf.hpp"
 #include "graph/generators.hpp"
 #include "graph/types.hpp"
@@ -144,25 +146,27 @@ TEST_P(ForestIndexP, BuildIsDeterministicAcrossThreadCounts) {
   const query::ForestIndex idx(
       team, d.store(), std::span<const EdgeId>(d.forest_edge_ids()), 5);
 
+  // Compared by answers: every pair's path max and tree, and the cuts.
   ASSERT_EQ(idx.num_vertices(), ref.num_vertices());
   ASSERT_EQ(idx.num_forest_edges(), ref.num_forest_edges());
-  EXPECT_EQ(idx.tour(), ref.tour());
-  for (VertexId v = 0; v < idx.num_vertices(); ++v) {
-    EXPECT_EQ(idx.component(v), ref.component(v));
-    EXPECT_EQ(idx.parent(v), ref.parent(v));
-    EXPECT_EQ(idx.depth(v), ref.depth(v));
-    EXPECT_EQ(idx.tin(v), ref.tin(v));
-    EXPECT_EQ(idx.tout(v), ref.tout(v));
+  EXPECT_EQ(idx.stats().num_components, ref.stats().num_components);
+  EXPECT_EQ(idx.stats().bytes, ref.stats().bytes);
+  for (VertexId u = 0; u < idx.num_vertices(); ++u) {
+    ASSERT_EQ(idx.component(u), ref.component(u));
+    for (VertexId v = 0; v < idx.num_vertices(); ++v) {
+      const auto a = idx.path_max(u, v);
+      const auto b = ref.path_max(u, v);
+      ASSERT_EQ(a.connected, b.connected) << u << "," << v;
+      ASSERT_EQ(a.edge_id, b.edge_id) << u << "," << v;
+      ASSERT_EQ(a.weight, b.weight) << u << "," << v;
+    }
   }
-  std::mt19937_64 rng(11);
-  std::uniform_int_distribution<VertexId> vtx(0, 499);
-  for (int t = 0; t < 200; ++t) {
-    const VertexId u = vtx(rng), v = vtx(rng);
-    const auto a = idx.path_max(u, v);
-    const auto b = ref.path_max(u, v);
-    EXPECT_EQ(a.connected, b.connected);
-    EXPECT_EQ(a.edge_id, b.edge_id);
-    EXPECT_EQ(a.weight, b.weight);
+  for (const double lambda : {0.0, 0.1, 0.5, 1.0}) {
+    std::vector<VertexId> la, lb;
+    const auto ca = idx.cut(lambda, &la);
+    const auto cb = ref.cut(lambda, &lb);
+    EXPECT_EQ(la, lb) << "lambda=" << lambda;
+    EXPECT_EQ(ca.labels_digest, cb.labels_digest) << "lambda=" << lambda;
   }
 }
 
@@ -290,6 +294,54 @@ TEST(QueryIndex, CutMatchesThresholdUnionFind) {
       EXPECT_EQ(rl, roots[v]) << "lambda=" << lambda << " v=" << v;
     }
   }
+}
+
+TEST(QueryIndex, CutMatchesDendrogramAtTiedWeights) {
+  // Weights from a tiny set (with -0.0 and +0.0), so the cut thresholds
+  // below sit exactly on tied forest edges.
+  ThreadTeam team(2);
+  const VertexId n = 400;
+  EdgeList g(n);
+  std::mt19937_64 rng(41);
+  const double weights[] = {-0.0, 0.0, 0.25, 1.0, 1.0, 2.0};
+  for (int i = 0; i < 900; ++i) {
+    const auto u = static_cast<VertexId>(rng() % n);
+    const auto v = static_cast<VertexId>(rng() % n);
+    if (u != v) g.add_edge(u, v, weights[rng() % 6]);
+  }
+  dynamic::DynamicMsf d(g, dyn_opts(team, 1));
+  const query::ForestIndex idx(
+      team, d.store(), std::span<const EdgeId>(d.forest_edge_ids()), 1);
+  graph::MsfResult msf;
+  for (std::size_t i = 0; i < idx.num_forest_edges(); ++i) {
+    msf.edges.push_back(idx.forest_edge(i));
+    msf.edge_ids.push_back(idx.forest_id(i));
+  }
+  const core::Dendrogram dend(n, msf);
+  for (const double lambda : {-0.5, -0.0, 0.0, 0.25, 1.0, 2.0}) {
+    std::size_t k = 0;
+    const std::vector<VertexId> want = dend.cut_at(lambda, &k);
+    std::vector<VertexId> labels;
+    const auto cut = idx.cut(lambda, &labels);
+    EXPECT_EQ(labels, want) << "lambda=" << lambda;
+    EXPECT_EQ(cut.num_clusters, k) << "lambda=" << lambda;
+    EXPECT_EQ(cut.labels_digest,
+              query::labels_digest(std::span<const VertexId>(want)))
+        << "lambda=" << lambda;
+  }
+}
+
+TEST(QueryIndex, StatsReportIndexBytes) {
+  // The index's own heap stays O(n) words: about 17 B/vertex, far below
+  // the 176 B/vertex of a binary-lifting layout.
+  ThreadTeam team(2);
+  const VertexId n = 20000;
+  const EdgeList g = random_graph(n, 3 * n, 5);
+  dynamic::DynamicMsf d(g, dyn_opts(team, 1));
+  const query::ForestIndex idx(
+      team, d.store(), std::span<const EdgeId>(d.forest_edge_ids()), 1);
+  EXPECT_GE(idx.stats().bytes, 12u * n);
+  EXPECT_LE(idx.stats().bytes, 32u * n);
 }
 
 TEST(QueryIndex, TopkMatchesNaiveSort) {

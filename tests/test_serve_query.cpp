@@ -319,4 +319,27 @@ TEST(ServeQuery, StatsExposeQueryIndexSection) {
   EXPECT_NE(st.stats_json.find("\"conn\""), std::string::npos);
 }
 
+TEST(ServeQuery, StatsReportIndexBytes) {
+  ServiceCore svc;
+  EdgeList g(64);
+  for (VertexId v = 1; v < 64; ++v) g.add_edge(v - 1, v, 0.5 * v);
+  open_with(svc, "g", g);
+  const auto stat = [&](const std::string& key) {
+    const std::string json = svc.call(make(Op::kStats)).stats_json;
+    const std::size_t at = json.find("\"" + key + "\": ");
+    EXPECT_NE(at, std::string::npos) << key;
+    return std::stoull(json.substr(at + key.size() + 4));
+  };
+  // No index is built before the first query.
+  EXPECT_EQ(stat("bytes_latest"), 0u);
+  Request pm = make(Op::kPathMax, "g");
+  pm.u = 0;
+  pm.v = 63;
+  ASSERT_EQ(svc.call(pm).status, Status::kOk);
+  const std::uint64_t latest = stat("bytes_latest");
+  // At least comp, pos and gap per vertex and the rank order per edge.
+  EXPECT_GE(latest, 12u * 64 + 4u * 63);
+  EXPECT_EQ(stat("bytes_retained"), latest);
+}
+
 }  // namespace

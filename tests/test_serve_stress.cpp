@@ -140,7 +140,7 @@ TEST(ServeStress, EverySnapshotIsBitIdenticalToScratch) {
 
 /// Brute-force reference for one snapshot's query answers, computed from a
 /// *scratch solve* of the snapshot's live graph (independent of the forest
-/// the service maintained and of the ForestIndex skip tables).
+/// the service maintained and of the ForestIndex).
 struct QueryReference {
   VertexId n = 0;
   std::unordered_map<EdgeId, WEdge> edge_of;              ///< store id -> edge
@@ -206,8 +206,7 @@ struct QueryReference {
 
  private:
   /// The scratch forest ascending by store id — the same edge order the
-  /// ForestIndex feeds its dendrogram, so cut labels are comparable
-  /// bit-for-bit.
+  /// ForestIndex is built over, so cut labels are comparable bit-for-bit.
   MsfResult sorted_forest(const SnapshotData& snap, const MsfResult& ref) {
     std::unordered_map<EdgeId, WEdge> by_id;
     by_id.reserve(snap.live_ids.size());
